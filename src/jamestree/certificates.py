@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .dualnorm import certify_unit_ball, dual_norm
@@ -24,6 +23,7 @@ from .functionals import GENERAL, SIGNED_FAMILY, DualFunctional, evaluate, valid
 from .norms import norm
 from .slices import SliceSpec, slice_members
 from .spaces import ROOT, M_HYP, Node, SparseVector, SpaceKind, SpaceSpec, unit_vector
+from .surds import sqrt_bounds
 from .trees import Segment, max_index_used
 
 
@@ -374,10 +374,8 @@ def _sqrt_sum_le(p, s, B_s, q, t, B_t) -> bool:
         return True
     scale = 10**9
     while True:
-        ls = Fraction(isqrt(B_s.numerator * B_s.denominator * scale * scale), B_s.denominator * scale)
-        hs = ls if ls * ls == B_s else ls + Fraction(1, B_s.denominator * scale)
-        lt = Fraction(isqrt(B_t.numerator * B_t.denominator * scale * scale), B_t.denominator * scale)
-        ht = lt if lt * lt == B_t else lt + Fraction(1, B_t.denominator * scale)
+        ls, hs = sqrt_bounds(B_s, scale)
+        lt, ht = sqrt_bounds(B_t, scale)
         if p + s * hs <= q + t * lt:
             return True
         if p + s * ls > q + t * ht:

@@ -40,13 +40,14 @@ def _load_json(path: str):
 
 
 def _config_from_args(args) -> RunConfig:
-    config = DEFAULT_CONFIG
+    """DEFAULT_CONFIG with the config-file fields, then the flags, applied in
+    one step, so every out-of-range value is reported as a schema error."""
+    fields = {}
     if getattr(args, "config", None):
         doc = _load_json(args.config)
         if not isinstance(doc, dict):
             raise SchemaError("config file must hold a JSON object")
-        fields = {}
-        for key in ("level_cap", "family_cap", "candidate_cap", "iteration_cap", "seed", "workers"):
+        for key in ("family_cap", "candidate_cap", "iteration_cap", "seed", "workers"):
             if key in doc:
                 if not isinstance(doc[key], int):
                     raise SchemaError(f"config {key} must be an integer")
@@ -56,26 +57,24 @@ def _config_from_args(args) -> RunConfig:
                 fields[key] = schemas.parse_fraction(doc[key], key)
         if "output_format" in doc:
             fields["output_format"] = doc["output_format"]
-        try:
-            config = config.with_(**fields)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
-    overrides = {}
     if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+        fields["seed"] = args.seed
     if getattr(args, "parallel", None) is not None:
-        overrides["workers"] = args.parallel
+        fields["workers"] = args.parallel
     if getattr(args, "tol", None) is not None:
-        overrides["tol"] = schemas.parse_fraction(args.tol, "tol")
+        fields["tol"] = schemas.parse_fraction(args.tol, "tol")
     if getattr(args, "format", None) is not None:
-        overrides["output_format"] = args.format
-    if overrides:
-        config = config.with_(**overrides)
-    return config
+        fields["output_format"] = args.format
+    try:
+        return DEFAULT_CONFIG.with_(**fields)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, list)) and not obj:
+        rows.append((prefix, json.dumps(obj)))
+    elif isinstance(obj, dict):
         for key in obj:
             _flatten(f"{prefix}.{key}" if prefix else key, obj[key], rows)
     elif isinstance(obj, list):
@@ -178,6 +177,20 @@ def _cmd_diameter(args) -> int:
     return 0
 
 
+def _array(doc: dict, key: str) -> list:
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise SchemaError(f"'{key}' must be an array")
+    return items
+
+
+def _objects(doc: dict, key: str) -> list[dict]:
+    items = _array(doc, key)
+    if not all(isinstance(item, dict) for item in items):
+        raise SchemaError(f"each item of '{key}' must be an object")
+    return items
+
+
 def _cmd_certify(args) -> int:
     config = _config_from_args(args)
     doc = _load_json(args.input)
@@ -186,28 +199,28 @@ def _cmd_certify(args) -> int:
     if args.what == "sd2p":
         space = schemas.parse_space(doc.get("space"))
         slices = []
-        for item in doc.get("slices", []):
+        for item in _objects(doc, "slices"):
             g, _ = schemas.functional_from_json(item.get("functional"), space)
             slices.append((g, _parse_alpha(item.get("alpha"))))
-        weights = tuple(schemas.parse_fraction(w, "weight") for w in doc.get("weights", []))
+        weights = tuple(schemas.parse_fraction(w, "weight") for w in _array(doc, "weights"))
         cert = sd2p_witnesses(tuple(slices), weights, space, config)
         _emit(schemas.sd2p_cert_to_json(cert), config)
     elif args.what == "ccw":
         slices = []
-        for item in doc.get("slices", []):
+        for item in _objects(doc, "slices"):
             vec, _ = schemas.vector_from_json(item.get("vector"))
             slices.append((vec, _parse_alpha(item.get("epsilon"))))
-        weights = tuple(schemas.parse_fraction(w, "weight") for w in doc.get("weights", []))
+        weights = tuple(schemas.parse_fraction(w, "weight") for w in _array(doc, "weights"))
         cert = m_ccw_witness(tuple(slices), weights, config)
         _emit(schemas.ccw_cert_to_json(cert), config)
     elif args.what == "octahedral":
         space = schemas.parse_space(doc.get("space"))
-        basis = tuple(schemas.vector_from_json(v, space)[0] for v in doc.get("basis", []))
+        basis = tuple(schemas.vector_from_json(v, space)[0] for v in _array(doc, "basis"))
         candidate, _ = schemas.vector_from_json(doc.get("candidate"), space)
         mesh = []
-        for point in doc.get("mesh", []):
+        for point in _objects(doc, "mesh"):
             lam = schemas.parse_fraction(point.get("lambda"), "lambda")
-            coeffs = tuple(schemas.parse_fraction(c, "coeff") for c in point.get("coeffs", []))
+            coeffs = tuple(schemas.parse_fraction(c, "coeff") for c in _array(point, "coeffs"))
             mesh.append((lam, coeffs))
         report = octahedrality_deficit(space, basis, candidate, tuple(mesh), config)
         _emit(schemas.octahedrality_report_to_json(report), config)

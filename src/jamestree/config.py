@@ -13,7 +13,6 @@ class RunConfig:
     Same config + same inputs + same seed must give byte-identical reports.
     """
 
-    level_cap: int = 8
     family_cap: int = 2_000_000      # enumerated families per norm call
     candidate_cap: int = 200_000     # candidate segments per norm call
     tol: Fraction = Fraction(1, 10**9)
@@ -24,7 +23,7 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self) -> None:
-        if self.level_cap <= 0 or self.family_cap <= 0 or self.candidate_cap <= 0:
+        if self.family_cap <= 0 or self.candidate_cap <= 0:
             raise ValueError("caps must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")

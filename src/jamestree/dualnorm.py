@@ -36,7 +36,8 @@ from .functionals import DualFunctional, evaluate
 from .lp import simplex_max
 from .norms import NormResult, norm
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
-from .trees import AdmissibleFamily, Closure, is_admissible
+from .surds import sqrt_bounds
+from .trees import AdmissibleFamily, Closure, is_admissible, segment_sum
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,10 @@ def _variables(g: DualFunctional, space: SpaceSpec, cap: int) -> tuple[Node, ...
     return tuple(nodes)
 
 
-def _rho_below_inv_sqrt(value_sq: Fraction, scale: int = 10**6) -> Fraction:
+def _rho_below_inv_sqrt(value_sq: Fraction, scale: int) -> Fraction:
     """Rational rho with rho^2 * value_sq <= 1; for value_sq > 1 also
     rho * value_sq > 1 (so molecule cuts actually cut the iterate)."""
-    n, d = value_sq.numerator, value_sq.denominator
-    return Fraction(isqrt(n * d * scale * scale), n * scale)
+    return sqrt_bounds(value_sq, scale)[0] / value_sq
 
 
 def _molecule_cut_weights(sums: list[Fraction], value_sq: Fraction) -> list[Fraction]:
@@ -118,7 +118,7 @@ def _cut_from_witness(
     kept = []
     if space.aggregates_l1:
         for seg in res.witness.segments:
-            s = sum((v for n, v in x_hat.entries if seg.contains(n)), Fraction(0))
+            s = segment_sum(x_hat, seg)
             if s > 0:
                 weighted.append((Fraction(1), seg.top, seg.bottom))
                 kept.append(seg)
@@ -130,7 +130,7 @@ def _cut_from_witness(
     else:
         sums = []
         for seg in res.witness.segments:
-            s = sum((v for n, v in x_hat.entries if seg.contains(n)), Fraction(0))
+            s = segment_sum(x_hat, seg)
             if s != 0:
                 sums.append(s)
                 kept.append(seg)

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .errors import InvalidFunctionalError
 from .spaces import Node, SparseVector, SpaceSpec
-from .trees import Segment, family_disjoint, is_admissible
+from .surds import exact_sqrt
+from .trees import Segment, family_disjoint, is_admissible, segment_sum
 
 MOLECULE = "molecule"
 SIGNED_FAMILY = "signed_family"
@@ -77,11 +78,7 @@ def segment_functional(top: Node, bottom: Node, coeff: Fraction = Fraction(1)) -
 def evaluate(g: DualFunctional, x: SparseVector) -> Fraction:
     total = Fraction(0)
     for coeff, seg in g.terms:
-        s = Fraction(0)
-        for node, value in x.entries:
-            if seg.contains(node):
-                s += value
-        total += coeff * s
+        total += coeff * segment_sum(x, seg)
     return total
 
 
@@ -132,20 +129,10 @@ class MoleculeFit:
         """Exact unit-sphere coefficients when value_sq is a perfect square."""
         if self.value_sq == 0:
             return tuple(Fraction(0) for _ in self.proportions)
-        root = _exact_sqrt(self.value_sq)
+        root = exact_sqrt(self.value_sq)
         if root is None:
             return None
         return tuple(p / root for p in self.proportions)
-
-
-def _exact_sqrt(value: Fraction) -> Fraction | None:
-    from math import isqrt
-
-    n, d = value.numerator, value.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 def best_molecule(segments: tuple[Segment, ...], x: SparseVector) -> MoleculeFit:
@@ -157,12 +144,6 @@ def best_molecule(segments: tuple[Segment, ...], x: SparseVector) -> MoleculeFit
     """
     if not family_disjoint(segments):
         raise InvalidFunctionalError("best_molecule needs pairwise disjoint segments")
-    sums = []
-    for seg in segments:
-        s = Fraction(0)
-        for node, value in x.entries:
-            if seg.contains(node):
-                s += value
-        sums.append(s)
+    sums = [segment_sum(x, seg) for seg in segments]
     value_sq = sum((s * s for s in sums), Fraction(0))
     return MoleculeFit(tuple(segments), tuple(sums), value_sq)

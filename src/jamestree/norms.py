@@ -28,6 +28,7 @@ from .trees import (
     literal_chain_subsets,
     materialize_core,
     max_index_used,
+    segment_sum,
 )
 
 
@@ -65,12 +66,6 @@ class NormResult:
         if self.value is not None:
             return self.value == bound
         return bound >= 0 and self.value_sq == bound * bound
-
-    def ge(self, bound: Fraction) -> bool:
-        return self.eq(bound) or not self.le(bound)
-
-    def gt(self, bound: Fraction) -> bool:
-        return not self.le(bound)
 
     def exceeds_threshold(self, evaluation: Fraction, alpha: Fraction) -> bool:
         """True iff evaluation > norm - alpha, decided exactly."""
@@ -247,7 +242,7 @@ def evaluate_family(family: AdmissibleFamily, x: SparseVector) -> Fraction:
     """Norm expression of one family: sum of |segment sums| (L1) or of squares."""
     total = Fraction(0)
     for seg in family.segments:
-        s = sum((v for n, v in x.entries if seg.contains(n)), Fraction(0))
+        s = segment_sum(x, seg)
         total += abs(s) if family.space.aggregates_l1 else s * s
     return total
 

@@ -9,11 +9,11 @@ imports this module outside of tests and the verification suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .norms import evaluate_family
 from .spaces import Node, SparseVector, SpaceKind, SpaceSpec
+from .surds import sqrt_bounds
 from .trees import (
     AdmissibleFamily,
     Segment,
@@ -184,14 +184,6 @@ def truncated_universe_norm(
     return best
 
 
-def _sqrt_floor_fraction(value: Fraction, scale: int = 10**12) -> Fraction:
-    """Rational lower bound for sqrt(value)."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    n, d = value.numerator, value.denominator
-    return Fraction(isqrt(n * d * scale * scale), d * scale)
-
-
 def dense_dual_norm_l1(
     g_coeffs: dict[Node, Fraction],
     variables: tuple[Node, ...],
@@ -268,10 +260,11 @@ def grid_scan_dual_norm_jt(
             if g_val <= 0:
                 return
             # bracket g(p)/||p|| with rational approximations of 1/sqrt
-            cand = g_val * _inv_sqrt_lower(res.value_sq)
+            root_lo, root_hi = sqrt_bounds(res.value_sq, 10**9)
+            cand = g_val * (root_lo / res.value_sq)
             if cand > best_lower:
                 best_lower = cand
-            cand_up = g_val * _inv_sqrt_upper(res.value_sq)
+            cand_up = g_val * (root_hi / res.value_sq)
             if cand_up > best_point_upper:
                 best_point_upper = cand_up
             return
@@ -288,14 +281,3 @@ def grid_scan_dual_norm_jt(
     upper = best_point_upper * (1 + mesh) + lip * h / 2
     return best_lower, upper
 
-
-def _inv_sqrt_lower(value_sq: Fraction, scale: int = 10**9) -> Fraction:
-    """Rational r with r <= 1/sqrt(value_sq); 1/sqrt(n/d) = sqrt(n*d)/n."""
-    n, d = value_sq.numerator, value_sq.denominator
-    return Fraction(isqrt(n * d * scale * scale), n * scale)
-
-
-def _inv_sqrt_upper(value_sq: Fraction, scale: int = 10**9) -> Fraction:
-    """Rational r with r >= 1/sqrt(value_sq)."""
-    n, d = value_sq.numerator, value_sq.denominator
-    return Fraction(isqrt(n * d * scale * scale) + 1, n * scale)

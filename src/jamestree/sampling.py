@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from .functionals import SIGNED_FAMILY, DualFunctional
 from .spaces import Node, SparseVector, SpaceKind, SpaceSpec
+from .surds import sqrt_bounds
 from .trees import Segment
 
 
@@ -79,8 +80,6 @@ def scaled_into_ball(
 ) -> SparseVector:
     """Random vector rescaled to norm <= bound (exact for the L1 spaces, via a
     one-sided square-root approximation for JT_INF)."""
-    from math import isqrt
-
     from .norms import norm
 
     allow_root = space.kind is not SpaceKind.JT_INF  # JT extensions need root-free input
@@ -90,7 +89,5 @@ def scaled_into_ball(
     res = norm(x, space)
     if res.value is not None:
         return x.scale(bound / res.value)
-    n, d = res.value_sq.numerator, res.value_sq.denominator
-    scale = 10**6
-    inv_sqrt_lower = Fraction(isqrt(n * d * scale * scale), n * scale)
+    inv_sqrt_lower = sqrt_bounds(res.value_sq, 10**6)[0] / res.value_sq
     return x.scale(bound * inv_sqrt_lower)

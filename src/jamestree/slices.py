@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .dualnorm import dual_norm
@@ -24,8 +23,8 @@ from .errors import EnumerationCapError, PreconditionError, ScenarioConstraintEr
 from .functionals import MOLECULE, SIGNED_FAMILY, DualFunctional, best_molecule
 from .norms import NormResult, norm
 from .spaces import SparseVector, SpaceKind, SpaceSpec
-from .surds import Surd
-from .trees import enumerate_admissible_families
+from .surds import Surd, sqrt_bounds
+from .trees import enumerate_admissible_families, segment_sum
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,9 @@ def _rho_for_membership(value_sq: Fraction, threshold_num: Fraction) -> Fraction
     Exists whenever sqrt(value_sq) > threshold; refines a one-sided sqrt
     approximation until the strict inequality shows.
     """
-    n, d = value_sq.numerator, value_sq.denominator
     scale = 10**6
     for _ in range(8):
-        rho = Fraction(isqrt(n * d * scale * scale), n * scale)
+        rho = sqrt_bounds(value_sq, scale)[0] / value_sq
         if rho * value_sq > threshold_num:
             return rho
         scale *= 10**3
@@ -144,11 +142,7 @@ def _sqrt_gt_threshold(value_sq: Fraction, norm_res: NormResult, alpha: Fraction
 
 def _threshold_value_bound(norm_res: NormResult, alpha: Fraction) -> Fraction:
     """A rational tau >= ||x|| - alpha to test molecule memberships against."""
-    value_sq = norm_res.value_sq
-    n, d = value_sq.numerator, value_sq.denominator
-    scale = 10**9
-    upper_sqrt = Fraction(isqrt(n * d * scale * scale) + 1, d * scale)
-    return upper_sqrt - alpha
+    return sqrt_bounds(norm_res.value_sq, 10**9)[1] - alpha
 
 
 def slice_members(spec: SliceSpec, config: RunConfig = DEFAULT_CONFIG) -> list[DualFunctional]:
@@ -164,10 +158,7 @@ def slice_members(spec: SliceSpec, config: RunConfig = DEFAULT_CONFIG) -> list[D
     members: list[DualFunctional] = []
     families = enumerate_admissible_families(spec.x.support, spec.space, config, q_cap=spec.level_cap)
     for family in families:
-        sums = []
-        for seg in family.segments:
-            s = sum((v for n, v in spec.x.entries if seg.contains(n)), Fraction(0))
-            sums.append(s)
+        sums = [segment_sum(spec.x, seg) for seg in family.segments]
         peak = sum(abs(s) for s in sums)
         if not norm_res.exceeds_threshold(peak, spec.alpha):
             continue  # no sign pattern of this family can reach the slice

@@ -78,10 +78,6 @@ M_HYP = SpaceSpec(SpaceKind.M_HYP)
 ALL_SPACES = (JT_INF, JH, JH_INF, M_HYP)
 
 
-def level(node: Node) -> int:
-    return len(node)
-
-
 def is_dyadic(node: Node) -> bool:
     return all(i in (0, 1) for i in node)
 
@@ -160,9 +156,6 @@ class SparseVector:
                     raise InvalidVectorError(f"node {node!r} is not a dyadic path")
         if space.kind is SpaceKind.M_HYP and self.value_at(ROOT) != 0:
             raise InvalidVectorError("hyperplane vectors carry no root entry")
-
-
-ZERO_VECTOR = SparseVector(())
 
 
 def unit_vector(node: Node, space: SpaceSpec | None = None) -> SparseVector:

@@ -16,26 +16,32 @@ from .errors import AmbiguousComparisonError
 DEFAULT_WIDTH = Fraction(1, 10**12)
 
 
+def sqrt_bounds(value: Fraction, scale: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= sqrt(value) < hi with hi - lo = 1/(d*scale), d the
+    denominator of value.  The upper bound stays strict on perfect squares.
+
+    For value > 0 the same bounds divided by value bracket 1/sqrt(value):
+    lo/value <= 1/sqrt(value) < hi/value.
+    """
+    n, d = value.numerator, value.denominator
+    base = isqrt(n * d * scale * scale)
+    return Fraction(base, d * scale), Fraction(base + 1, d * scale)
+
+
 def sqrt_bracket(value: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Outward rational enclosure of sqrt(value) no wider than `width`."""
+    """Outward rational enclosure of sqrt(value) no wider than `width`,
+    collapsed to (root, root) when value is a perfect square."""
     if value < 0:
         raise ValueError("negative radicand")
     if value == 0:
         return Fraction(0), Fraction(0)
-    n, d = value.numerator, value.denominator
     scale = 1
-    while Fraction(1, d * scale) > width:
+    while Fraction(1, value.denominator * scale) > width:
         scale *= 2
-    base = isqrt(n * d * scale * scale)
-    lo = Fraction(base, d * scale)
+    lo, hi = sqrt_bounds(value, scale)
     if lo * lo == value:
         return lo, lo
-    return lo, Fraction(base + 1, d * scale)
-
-
-def is_perfect_square(value: Fraction) -> bool:
-    n, d = value.numerator, value.denominator
-    return n >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+    return lo, hi
 
 
 def exact_sqrt(value: Fraction) -> Fraction | None:
@@ -79,10 +85,6 @@ class Surd:
             lo += self.c * hid
             hi += self.c * lod
         return lo, hi
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0 and (self.c == 0 or is_perfect_square(self.delta))
 
     def rational_value(self) -> Fraction | None:
         if self.b != 0:

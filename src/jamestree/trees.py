@@ -26,11 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import EnumerationCapError, InvalidSegmentError
-from .spaces import Node, ROOT, SpaceSpec
+from .spaces import Node, ROOT, SparseVector, SpaceSpec
 
 
 class NodeOrder(Enum):
@@ -94,6 +95,11 @@ class Segment:
         return (self.top, self.bottom)
 
 
+def segment_sum(x: SparseVector, seg: Segment) -> Fraction:
+    """Sum of the entries of x on the chain of `seg`."""
+    return sum((v for n, v in x.entries if seg.contains(n)), Fraction(0))
+
+
 def segment_nodes(segment: Segment) -> tuple[Node, ...]:
     return segment.nodes()
 
@@ -112,26 +118,14 @@ def family_disjoint(segments: Sequence[Segment]) -> bool:
     return True
 
 
-def admissibility_flags(segments: Sequence[Segment], space: SpaceSpec) -> dict[str, bool]:
-    """Component checks behind `is_admissible` (useful for error reporting)."""
-    disjoint = family_disjoint(segments)
-    aligned = True
-    if segments:
-        p0, q0 = segments[0].p, segments[0].q
-        aligned = all(s.p == p0 and s.q == q0 for s in segments)
-    top_level_ok = all(s.p >= space.min_top_level for s in segments)
-    return {"disjoint": disjoint, "aligned": aligned, "top_level_ok": top_level_ok}
-
-
 def is_admissible(segments: Sequence[Segment], space: SpaceSpec) -> bool:
-    flags = admissibility_flags(segments, space)
-    if not flags["disjoint"]:
+    if not family_disjoint(segments):
         return False
-    if space.level_aligned and not flags["aligned"]:
-        return False
-    if not flags["top_level_ok"]:
-        return False
-    return True
+    if space.level_aligned and segments:
+        p0, q0 = segments[0].p, segments[0].q
+        if not all(s.p == p0 and s.q == q0 for s in segments):
+            return False
+    return all(s.p >= space.min_top_level for s in segments)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jamestree.cli import main
 
 
@@ -206,6 +208,10 @@ def test_tsv_format(tmp_path, capsys):
     code, out = run_cli(capsys, "norm", path, "--format", "tsv")
     assert code == 0
     assert out.splitlines()[0] == 'value\t"1"'
+    zero = write(tmp_path, "zero.json", {"entries": []})
+    code, out = run_cli(capsys, "norm", zero, "--space", "JH", "--format", "tsv")
+    assert code == 0
+    assert "witness\t[]" in out.splitlines()
 
 
 def test_verify_duals_suite(capsys):
@@ -233,3 +239,34 @@ def test_config_file_overrides(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", {"tol": "-1"})
     code, out = run_cli(capsys, "norm", path, "--config", bad)
     assert code == 2
+
+
+def test_out_of_range_flags_exit_2(tmp_path, capsys):
+    x = write(tmp_path, "x.json", SEVEN_NODE_UNIT)
+    g = write(
+        tmp_path,
+        "g.json",
+        {"space": "JH_INF", "class": "general", "terms": [{"coeff": "1", "top": [1], "bottom": [1]}]},
+    )
+    for argv in (("norm", x, "--parallel", "0"), ("dual-norm", g, "--tol", "0")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "schema"
+
+
+@pytest.mark.parametrize(
+    "what, doc",
+    [
+        ("sd2p", {"space": "JH", "slices": [1, 2], "weights": ["1", "1"]}),
+        ("sd2p", {"space": "JH", "slices": 5, "weights": ["1"]}),
+        ("sd2p", {"space": "JH", "slices": [], "weights": "1"}),
+        ("ccw", {"slices": [1, 2], "weights": ["1", "1"]}),
+        ("octahedral", {"space": "JH", "basis": [], "candidate": {"entries": []}, "mesh": [1]}),
+        ("octahedral", {"space": "JH", "basis": 3, "candidate": {"entries": []}, "mesh": []}),
+    ],
+)
+def test_certify_malformed_containers(tmp_path, capsys, what, doc):
+    path = write(tmp_path, "in.json", doc)
+    code, out = run_cli(capsys, "certify", what, path)
+    assert code == 2
+    assert json.loads(out)["error"] == "schema"

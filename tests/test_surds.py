@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from jamestree.errors import AmbiguousComparisonError
-from jamestree.surds import Surd, sqrt_bracket, surd_le, surd_lt
+from jamestree.surds import Surd, sqrt_bounds, sqrt_bracket, surd_le, surd_lt
 
 
 def test_sqrt_bracket_tight_and_outward():
@@ -36,3 +37,21 @@ def test_equal_irrationals_raise():
 def test_float_rendering():
     bound = Surd(a=Fraction(1, 20), b=Fraction(1), c=Fraction(2), delta=Fraction(1, 25))
     assert abs(bound.float_value - (2**0.5 + 0.05 + 0.4)) < 1e-9
+
+
+# perfect squares, non-squares, and values below 1
+ROOT_SAMPLES = [
+    Fraction(v)
+    for v in ("4", "9/4", "1/9", "49/100", "2", "3", "123456789/1000", "5/7", "1/3", "2/9", "1/1000000")
+]
+
+
+@pytest.mark.parametrize("scale", [10**6, 10**9, 10**12])
+def test_sqrt_bounds_match_inline_formulas(scale):
+    for value in ROOT_SAMPLES:
+        n, d = value.numerator, value.denominator
+        base = isqrt(n * d * scale * scale)
+        lo, hi = sqrt_bounds(value, scale)
+        assert (lo, hi) == (Fraction(base, d * scale), Fraction(base + 1, d * scale))
+        assert (lo / value, hi / value) == (Fraction(base, n * scale), Fraction(base + 1, n * scale))
+        assert lo * lo <= value < hi * hi
