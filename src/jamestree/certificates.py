@@ -392,9 +392,10 @@ def _sqrt_sum_eq(p, s, B_s, q, t, B_t) -> bool:
     if t == 0:  # q - p = s*sqrt(B_s)
         diff = q - p
         return diff >= 0 and diff * diff == s * s * B_s
-    # p - q = t*sqrt(B_t) - s*sqrt(B_s); square twice
+    # p - q = t*sqrt(B_t) - s*sqrt(B_s): same sign as t²B_t - s²B_s, then square twice
+    same_sign = (p - q) * (t * t * B_t - s * s * B_s) >= 0
     lhs = t * t * B_t + s * s * B_s - (p - q) * (p - q)
-    return lhs >= 0 and lhs * lhs == 4 * t * t * s * s * B_t * B_s
+    return same_sign and lhs >= 0 and lhs * lhs == 4 * t * t * s * s * B_t * B_s
 
 
 def octahedrality_deficit(

@@ -27,7 +27,7 @@ from .dualnorm import dual_norm
 from .errors import JamesTreeError, SchemaError
 from .norms import literal_norm_sq_jt, norm
 from .slices import SliceSpec, slice_diameter, slice_members
-from .spaces import SpaceKind, SpaceSpec
+from .spaces import SpaceKind
 from .verify import SUITES, run_suite
 
 
@@ -49,7 +49,7 @@ def _config_from_args(args) -> RunConfig:
             raise SchemaError("config file must hold a JSON object")
         for key in ("family_cap", "candidate_cap", "iteration_cap", "seed", "workers"):
             if key in doc:
-                if not isinstance(doc[key], int):
+                if type(doc[key]) is not int:  # bool is an int subclass
                     raise SchemaError(f"config {key} must be an integer")
                 fields[key] = doc[key]
         for key in ("tol", "grid_resolution"):
@@ -93,17 +93,17 @@ def _emit(report: dict, config: RunConfig) -> None:
         sys.stdout.write(json.dumps(report) + "\n")
 
 
-def _space_from_args(args, default=None) -> SpaceSpec | None:
-    if getattr(args, "space", None):
-        return schemas.parse_space(args.space)
-    return default
+def _load_input(parse, path: str, space_name: str | None):
+    """Parse a vector or functional file; its space comes from the file or --space."""
+    obj, space = parse(_load_json(path), schemas.parse_space(space_name) if space_name else None)
+    if space is None:
+        raise SchemaError("no space given (put 'space' in the JSON or pass --space)")
+    return obj, space
 
 
 def _cmd_norm(args) -> int:
     config = _config_from_args(args)
-    vec, space = schemas.vector_from_json(_load_json(args.vector), _space_from_args(args))
-    if space is None:
-        raise SchemaError("no space given (put 'space' in the JSON or pass --space)")
+    vec, space = _load_input(schemas.vector_from_json, args.vector, args.space)
     if args.segments == "literal":
         if space.kind is not SpaceKind.JT_INF:
             raise SchemaError("--segments literal is valid for JT_INF only")
@@ -127,9 +127,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_dual_norm(args) -> int:
     config = _config_from_args(args)
-    g, space = schemas.functional_from_json(_load_json(args.functional), _space_from_args(args))
-    if space is None:
-        raise SchemaError("no space given (put 'space' in the JSON or pass --space)")
+    g, space = _load_input(schemas.functional_from_json, args.functional, args.space)
     cert = dual_norm(g, space, level_cap=args.level_cap, config=config)
     _emit(schemas.dual_cert_to_json(cert), config)
     return 0
@@ -142,15 +140,19 @@ def _parse_alpha(raw: str) -> Fraction:
     return value
 
 
+def _slice_spec(args, config: RunConfig) -> SliceSpec:
+    vec, space = _load_input(schemas.vector_from_json, args.vector, args.space)
+    if args.level_cap is not None and args.level_cap < 0:
+        raise SchemaError("level cap must be nonnegative")
+    return SliceSpec(vec, _parse_alpha(args.alpha), space, config.grid_resolution, args.level_cap)
+
+
 def _cmd_slice(args) -> int:
     config = _config_from_args(args)
-    vec, space = schemas.vector_from_json(_load_json(args.vector), _space_from_args(args))
-    if space is None:
-        raise SchemaError("no space given (put 'space' in the JSON or pass --space)")
-    spec = SliceSpec(vec, _parse_alpha(args.alpha), space, config.grid_resolution, args.level_cap)
+    spec = _slice_spec(args, config)
     members = slice_members(spec, config)
     report = {
-        "space": space.kind.value,
+        "space": spec.space.kind.value,
         "alpha": schemas.fraction_to_str(spec.alpha),
         "member_count": len(members),
         "members": [schemas.functional_to_json(g) for g in members],
@@ -161,10 +163,7 @@ def _cmd_slice(args) -> int:
 
 def _cmd_diameter(args) -> int:
     config = _config_from_args(args)
-    vec, space = schemas.vector_from_json(_load_json(args.vector), _space_from_args(args))
-    if space is None:
-        raise SchemaError("no space given (put 'space' in the JSON or pass --space)")
-    spec = SliceSpec(vec, _parse_alpha(args.alpha), space, config.grid_resolution, args.level_cap)
+    spec = _slice_spec(args, config)
     params = {}
     for name in ("epsilon", "delta"):
         raw = getattr(args, name, None)

@@ -13,7 +13,7 @@ class RunConfig:
     Same config + same inputs + same seed must give byte-identical reports.
     """
 
-    family_cap: int = 2_000_000      # enumerated families per norm call
+    family_cap: int = 2_000_000      # canonical enumeration, literal norm, slice grid
     candidate_cap: int = 200_000     # candidate segments per norm call
     tol: Fraction = Fraction(1, 10**9)
     grid_resolution: Fraction = Fraction(1, 8)

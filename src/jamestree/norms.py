@@ -5,10 +5,10 @@ level-aligned (L1) spaces it sweeps the finitely many (p, q) level windows
 and, inside each window, picks per level-p ancestor the chain with the
 largest absolute sum (chains under distinct level-p nodes never conflict, and
 no two admissible segments can share a level-p node, so the window optimum is
-the sum of per-node optima).  For JT_INF it solves the disjoint-chain packing
-problem by dynamic programming over the support closure, with memoized chain
-sums.  The naive exhaustive oracle lives in `reference` and is used in tests
-only; both routes must agree exactly.
+the sum of per-node optima).  For JT_INF one packing DP over the support
+closure, keyed lexicographically, gives the value, and reruns of it with the
+chosen nodes blocked build the witness greedily.  The naive exhaustive oracle
+lives in `reference` and is used in tests only; both routes must agree exactly.
 
 Witnesses are deterministic: the attaining family that is first in the
 canonical enumeration order (segment count, then node count, then lex).
@@ -56,11 +56,6 @@ class NormResult:
         if self.value is not None:
             return self.value <= bound
         return bound >= 0 and self.value_sq <= bound * bound
-
-    def lt(self, bound: Fraction) -> bool:
-        if self.value is not None:
-            return self.value < bound
-        return bound > 0 and self.value_sq < bound * bound
 
     def eq(self, bound: Fraction) -> bool:
         if self.value is not None:
@@ -154,62 +149,70 @@ def _jt_candidates(x: SparseVector, closure: Closure, sums, config: RunConfig):
     return cands
 
 
-def _jt_value_sq(x: SparseVector, closure: Closure, sums) -> Fraction:
+_EMPTY_KEY = (Fraction(0), 0, 0)  # (sum of squares, -segment count, -node count)
+
+
+def _plus(a: tuple, b: tuple) -> tuple:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _jt_value_sq(closure: Closure, sums, blocked: frozenset = frozenset()) -> tuple:
+    """Lex-largest key of a family of closure chains that avoid `blocked`.
+
+    A node heads either no chain, and its children's subtrees add up, or one
+    nonzero-sum chain, beside the subtrees hanging off it.  Every key part
+    adds over disjoint subtrees, so the lex-max composes.  Part 0 is norm².
+    """
     children = closure.children
-    dp: dict[Node, Fraction] = {}
+    dp: dict[Node, tuple] = {}
+    below: dict[Node, tuple] = {}  # key of the children's subtrees
     for node in sorted(closure.nodes, key=len, reverse=True):
-        best = sum((dp[c] for c in children[node]), Fraction(0))
-        for bottom in closure.descendants_or_self(node):
-            s = _chain_sum(sums, node, bottom)
-            val = s * s
-            for k in range(len(node), len(bottom) + 1):
-                w = bottom[:k]
-                nxt = bottom[: k + 1] if k < len(bottom) else None
-                for c in children[w]:
-                    if c != nxt:
-                        val += dp[c]
-            if val > best:
-                best = val
+        rest = _EMPTY_KEY
+        for c in children[node]:
+            rest = _plus(rest, dp[c])
+        below[node] = best = rest
+        if node not in blocked:
+            stack = [(node, rest)]  # (bottom, key hanging off node..bottom)
+            while stack:
+                bottom, hang = stack.pop()
+                s = _chain_sum(sums, node, bottom)
+                if s:
+                    best = max(best, _plus(hang, (s * s, -1, len(node) - len(bottom) - 1)))
+                for c in children[bottom]:
+                    if c not in blocked:
+                        key = tuple(h - d + b for h, d, b in zip(hang, dp[c], below[c]))
+                        stack.append((c, key))
         dp[node] = best
-    return dp[ROOT]
+    return dp.get(ROOT, _EMPTY_KEY)  # the zero vector has an empty closure
 
 
-def _jt_witness(
-    target: Fraction, cands: list[tuple[Segment, Fraction]], config: RunConfig
-) -> AdmissibleFamily:
-    """First attaining family in canonical order (count, node count, lex)."""
-    from .trees import segments_disjoint
+def _jt_witness(goal: tuple, closure: Closure, sums, cands) -> AdmissibleFamily:
+    """First attaining family in canonical order (count, node count, lex).
 
-    squares = [s * s for _, s in cands]
-    suffix = [Fraction(0)] * (len(cands) + 1)
-    for i in range(len(cands) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + squares[i]
-
-    for count_limit in range(1, len(cands) + 1):
-        attaining: list[AdmissibleFamily] = []
-        chosen: list[Segment] = []
-
-        def rec(start: int, acc: Fraction) -> None:
-            if acc == target:
-                attaining.append(AdmissibleFamily(tuple(chosen), SpaceSpec(SpaceKind.JT_INF)))
-                return
-            if len(chosen) == count_limit:
-                return
-            for j in range(start, len(cands)):
-                if acc + suffix[j] < target:
-                    return
-                seg = cands[j][0]
-                if all(segments_disjoint(seg, c) for c in chosen):
-                    chosen.append(seg)
-                    rec(j + 1, acc + squares[j])
-                    chosen.pop()
-                    if len(attaining) > config.family_cap:
-                        raise EnumerationCapError("witness search exceeded family cap")
-
-        rec(0, Fraction(0))
-        if attaining:
-            return min(attaining, key=AdmissibleFamily.sort_key)
-    raise JamesTreeError("internal error: no family attains the computed norm")
+    The families with the fewest segments, then nodes, that attain the norm
+    are those with key `goal`, so the witness is their lex-least sorted tuple.
+    One pass over `cands`, in `Segment.sort_key` order, keeps a segment when
+    some `goal` family contains it and the kept ones (a DP with their nodes
+    blocked decides this); a segment rejected once stays infeasible as more
+    are kept.
+    """
+    kept: list[Segment] = []
+    blocked: frozenset = frozenset()
+    acc = _EMPTY_KEY
+    for seg, s in cands:
+        if acc == goal:
+            break
+        nodes = seg.nodes()
+        if blocked.intersection(nodes):
+            continue
+        step = _plus(acc, (s * s, -1, -len(nodes)))
+        trial = blocked.union(nodes)
+        if _plus(step, _jt_value_sq(closure, sums, trial)) == goal:
+            kept.append(seg)
+            blocked, acc = trial, step
+    if acc != goal:
+        raise JamesTreeError("internal error: no family attains the computed norm")
+    return AdmissibleFamily(tuple(kept), SpaceSpec(SpaceKind.JT_INF))
 
 
 def norm(x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) -> NormResult:
@@ -221,21 +224,15 @@ def norm(x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) 
     if space.segment_variant != "interval":
         raise SpaceMismatchError("norm() computes the interval variant; use literal_norm_sq_jt")
     x.validate_for(space)
-    if x.is_zero:
-        empty = AdmissibleFamily((), space)
-        if space.aggregates_l1:
-            return NormResult(space, Fraction(0), None, empty)
-        return NormResult(space, None, Fraction(0), empty)
-
     if space.aggregates_l1:
         return _aligned_norm(x, space, config)
 
     closure = Closure(x.support)
     sums = _prefix_sums(x, closure)
-    value_sq = _jt_value_sq(x, closure, sums)
+    goal = _jt_value_sq(closure, sums)
     cands = _jt_candidates(x, closure, sums, config)
-    witness = _jt_witness(value_sq, cands, config)
-    return NormResult(space, None, value_sq, witness)
+    witness = _jt_witness(goal, closure, sums, cands)
+    return NormResult(space, None, goal[0], witness)
 
 
 def evaluate_family(family: AdmissibleFamily, x: SparseVector) -> Fraction:

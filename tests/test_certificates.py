@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from jamestree.certificates import (
+    _sqrt_sum_le,
     extend_within_ball,
     fresh_direction,
     l1_basis_check,
@@ -178,3 +179,10 @@ def test_l1_basis_check_examples():
     assert l1_basis_check(M_HYP, (Fraction(-7, 3),)) == (Fraction(7, 3), True)
     with pytest.raises(SpaceMismatchError):
         l1_basis_check(JH, (Fraction(1),))
+
+
+def test_sqrt_sum_le_checks_sign_before_squaring():
+    # p + s*sqrt(B_s) <= q + t*sqrt(B_t) with both roots present
+    assert not _sqrt_sum_le(2, 1, 9, 0, 1, 1)  # 5 <= 1
+    assert _sqrt_sum_le(1, 1, 4, 0, 1, 9)  # 3 <= 3
+    assert _sqrt_sum_le(0, 1, 9, 2, 1, 1)  # 3 <= 3

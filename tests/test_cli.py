@@ -239,6 +239,10 @@ def test_config_file_overrides(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", {"tol": "-1"})
     code, out = run_cli(capsys, "norm", path, "--config", bad)
     assert code == 2
+    booleans = write(tmp_path, "bool.json", {"workers": True, "seed": False})
+    code, out = run_cli(capsys, "norm", path, "--config", booleans)
+    assert code == 2
+    assert json.loads(out)["error"] == "schema"
 
 
 def test_out_of_range_flags_exit_2(tmp_path, capsys):
@@ -248,7 +252,12 @@ def test_out_of_range_flags_exit_2(tmp_path, capsys):
         "g.json",
         {"space": "JH_INF", "class": "general", "terms": [{"coeff": "1", "top": [1], "bottom": [1]}]},
     )
-    for argv in (("norm", x, "--parallel", "0"), ("dual-norm", g, "--tol", "0")):
+    for argv in (
+        ("norm", x, "--parallel", "0"),
+        ("dual-norm", g, "--tol", "0"),
+        ("slice", x, "--space", "JH", "--alpha", "1/10", "--level-cap", "-1"),
+        ("diameter", x, "--space", "JH", "--alpha", "1/10", "--level-cap", "-1"),
+    ):
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"] == "schema"

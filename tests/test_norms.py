@@ -6,7 +6,7 @@ import pytest
 from jamestree.errors import SpaceMismatchError
 from jamestree.norms import evaluate_family, literal_norm_sq_jt, norm
 from jamestree.reference import naive_norm
-from jamestree.sampling import nonzero_fraction, random_vector
+from jamestree.sampling import nonzero_fraction, random_node, random_vector
 from jamestree.spaces import (
     ALL_SPACES,
     JH,
@@ -18,7 +18,7 @@ from jamestree.spaces import (
     project_levels,
     unit_vector,
 )
-from jamestree.trees import Segment, is_admissible
+from jamestree.trees import Segment, enumerate_admissible_families, is_admissible
 
 
 def singleton_slice_vector(eps):
@@ -41,8 +41,6 @@ def test_jh_seven_node_unit_vector():
     assert res.value == 1
     assert res.witness.segments == (Segment((), (0,)),)
     # every other family stays under max(1 - eps, 4 eps)
-    from jamestree.trees import enumerate_admissible_families
-
     x = singleton_slice_vector(eps)
     for family in enumerate_admissible_families(x.support, JH):
         if family.segments != (Segment((), (0,)),):
@@ -80,19 +78,39 @@ def test_unit_vectors_have_norm_one_everywhere():
         assert norm(unit_vector(node), space).eq(Fraction(1))
 
 
+def _assert_engine_matches_oracle(x, space):
+    res = norm(x, space)
+    value, witness = naive_norm(x, space)
+    engine_value = res.value if res.value is not None else res.value_sq
+    assert engine_value == value
+    if not x.is_zero:
+        assert res.witness.sort_key() == witness.sort_key()
+        assert evaluate_family(res.witness, x) == value
+        assert is_admissible(res.witness.segments, space)
+    return value
+
+
 def test_engine_matches_oracle_including_witness_key():
     rng = random.Random(23)
     for space in ALL_SPACES:
         for _ in range(60):
-            x = random_vector(rng, space, max_level=3, max_nodes=5)
-            res = norm(x, space)
-            value, witness = naive_norm(x, space)
-            engine_value = res.value if res.value is not None else res.value_sq
-            assert engine_value == value
-            if not x.is_zero:
-                assert res.witness.sort_key() == witness.sort_key()
-                assert evaluate_family(res.witness, x) == value
-                assert is_admissible(res.witness.segments, space)
+            _assert_engine_matches_oracle(random_vector(rng, space, max_level=3, max_nodes=5), space)
+    # Dyadic JT_INF vectors with entries in {1, -1, 2}: here several attaining
+    # families often share the fewest segments and nodes, so the witness is
+    # decided by the lex tie-break alone.
+    rng = random.Random(43)
+    ties = 0
+    for _ in range(60):
+        entries = {
+            random_node(rng, JT_INF, 3, 2): Fraction(rng.choice((1, -1, 2)))
+            for _ in range(rng.randint(1, 7))
+        }
+        x = SparseVector(tuple(entries.items()))
+        value = _assert_engine_matches_oracle(x, JT_INF)
+        families = enumerate_admissible_families(x.support, JT_INF)
+        keys = [f.sort_key()[:2] for f in families if evaluate_family(f, x) == value]
+        ties += keys.count(min(keys)) > 1
+    assert ties > 0
 
 
 def test_norm_axioms_randomized():
