@@ -45,7 +45,6 @@ from .spaces import (
     JH,
     JH_INF,
     JT_INF,
-    JT_INF_LITERAL,
     M_HYP,
     ROOT,
     Node,

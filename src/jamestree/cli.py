@@ -228,8 +228,8 @@ def _cmd_certify(args) -> int:
         vec, _ = schemas.vector_from_json(doc.get("vector"), space)
         n = doc.get("n")
         signs = doc.get("signs")
-        if not isinstance(n, int) or not isinstance(signs, list):
-            raise SchemaError("extend input needs integer 'n' and a 'signs' array")
+        if type(n) is not int or not isinstance(signs, list) or any(type(s) is not int for s in signs):
+            raise SchemaError("extend input needs integer 'n' and a 'signs' array of integers")
         result = extend_within_ball(vec, n, tuple(signs), space, config)
         res = norm(result, space, config)
         _emit(

@@ -2,9 +2,10 @@
 
 Maximizes g(x) over the unit ball of the truncated coordinate space
 {x : supp(x) within levels <= level_cap}.  The LP relaxation starts from the
-box |x_t| <= 1 (valid: every singleton is a norm-one functional); each round
-the exact primal norm engine plays separation oracle: if the LP optimizer
-leaves the ball, its witness family yields a valid cut
+box |x_t| <= 1 (valid: every singleton is a norm-one functional), which
+`lp.simplex_max` keeps as variable bounds, so the LP rows are the cuts alone;
+each round the exact primal norm engine plays separation oracle: if the LP
+optimizer leaves the ball, its witness family yields a valid cut
 
     sum_i w_i f_{S_i}(x) <= 1
 
@@ -159,8 +160,6 @@ def dual_norm(
     tol = config.tol if tol is None else tol
     if tol <= 0:
         raise PreconditionError("tol must be positive")
-    if space.segment_variant != "interval":
-        raise PreconditionError("dual norms are defined for the interval segment reading")
     depth = g.depth()
     cap = depth if level_cap is None else level_cap
     if depth > cap:
@@ -173,14 +172,8 @@ def dual_norm(
         coeffs.pop(ROOT, None)  # the hyperplane never sees the root coordinate
     objective = [coeffs.get(v, Fraction(0)) for v in variables]
 
-    rows: list[tuple[list[Fraction], Fraction]] = []
+    rows: list[tuple[list[Fraction], Fraction]] = []  # cuts; the box is the LP's bounds
     row_keys: set[tuple[Fraction, ...]] = set()
-    for i in range(len(variables)):
-        for sign in (1, -1):
-            row = [Fraction(0)] * len(variables)
-            row[i] = Fraction(sign)
-            rows.append((row, Fraction(1)))
-            row_keys.add(tuple(row))
 
     lower = Fraction(0)
     witness = SparseVector(())
@@ -191,7 +184,7 @@ def dual_norm(
             witness = SparseVector(((v, Fraction(1 if c > 0 else -1)),))
     seed = SparseVector(tuple((v, c) for v, c in zip(variables, objective) if c != 0))
     if not seed.is_zero:  # coefficient-proportional direction, rescaled exactly
-        seed_norm = norm(seed, SpaceSpec(space.kind), config)
+        seed_norm = norm(seed, space, config)
         if space.aggregates_l1:
             scaled_seed = seed.scale(Fraction(1) / seed_norm.value)
         else:
@@ -212,7 +205,7 @@ def dual_norm(
             upper = lower
             break
         x_hat = SparseVector(tuple((v, c) for v, c in zip(variables, xvec) if c != 0))
-        res = norm(x_hat, SpaceSpec(space.kind), config)
+        res = norm(x_hat, space, config)
         if res.le(Fraction(1)):
             lower = upper
             witness = x_hat

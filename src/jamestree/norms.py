@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import EnumerationCapError, JamesTreeError, SpaceMismatchError
+from .errors import EnumerationCapError, JamesTreeError
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
 from .trees import (
     AdmissibleFamily,
@@ -221,8 +221,6 @@ def norm(x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) 
     For JT_INF the result carries the exact squared value.  The literal
     segment variant has its own entry point (`literal_norm_sq_jt`).
     """
-    if space.segment_variant != "interval":
-        raise SpaceMismatchError("norm() computes the interval variant; use literal_norm_sq_jt")
     x.validate_for(space)
     if space.aggregates_l1:
         return _aligned_norm(x, space, config)

@@ -195,15 +195,12 @@ def dense_dual_norm_l1(
     The truncated unit ball of an L1 space is the polytope cut out by every
     signed canonical family constraint; a single exact simplex solve over all
     of them gives the same optimum as enumerating the polytope's vertices.
+    The box |x_t| <= 1 holds on that ball and the solver keeps it as variable
+    bounds, so only the signed-family rows are built.
     """
     from .lp import simplex_max
 
     rows: list[tuple[list[Fraction], Fraction]] = []
-    for v in variables:
-        row = [Fraction(0)] * len(variables)
-        row[variables.index(v)] = Fraction(1)
-        rows.append((row, Fraction(1)))
-        rows.append(([-c for c in row], Fraction(1)))
     families = enumerate_admissible_families(variables, space, config)
     index = {v: i for i, v in enumerate(variables)}
     for family in families:

@@ -39,7 +39,7 @@ def parse_fraction(raw: Any, what: str = "value") -> Fraction:
 
 
 def parse_node(raw: Any, what: str = "node") -> tuple[int, ...]:
-    if not isinstance(raw, list) or not all(isinstance(i, int) and i >= 0 for i in raw):
+    if not isinstance(raw, list) or not all(type(i) is int and i >= 0 for i in raw):
         raise SchemaError(f"{what} must be an array of naturals, got {raw!r}")
     return tuple(raw)
 

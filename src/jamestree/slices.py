@@ -41,8 +41,6 @@ class SliceSpec:
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise PreconditionError("slice width alpha must be positive")
-        if self.space.segment_variant != "interval":
-            raise PreconditionError("slices are defined for the interval segment reading")
 
 
 @dataclass(frozen=True)

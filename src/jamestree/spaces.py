@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InvalidVectorError, SpaceMismatchError
+from .errors import InvalidVectorError
 
 Node = tuple[int, ...]
 
@@ -36,20 +36,14 @@ L1_KINDS = (SpaceKind.JH, SpaceKind.JH_INF, SpaceKind.M_HYP)
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Which norm is in force, plus the segment-shape variant.
+    """Which norm is in force.
 
-    `segment_variant` is "interval" everywhere; "literal" (totally ordered
-    finite subsets, gaps allowed) is a flagged variant valid for JT_INF only.
+    Segments are intervals of a branch everywhere; the literal JT_INF reading
+    (totally ordered finite subsets, gaps allowed) has its own entry point,
+    `norms.literal_norm_sq_jt`.
     """
 
     kind: SpaceKind
-    segment_variant: str = "interval"
-
-    def __post_init__(self) -> None:
-        if self.segment_variant not in ("interval", "literal"):
-            raise SpaceMismatchError(f"unknown segment variant {self.segment_variant!r}")
-        if self.segment_variant == "literal" and self.kind is not SpaceKind.JT_INF:
-            raise SpaceMismatchError("literal segments are a JT_INF-only variant")
 
     @property
     def aggregates_l1(self) -> bool:
@@ -70,7 +64,6 @@ class SpaceSpec:
 
 
 JT_INF = SpaceSpec(SpaceKind.JT_INF)
-JT_INF_LITERAL = SpaceSpec(SpaceKind.JT_INF, "literal")
 JH = SpaceSpec(SpaceKind.JH)
 JH_INF = SpaceSpec(SpaceKind.JH_INF)
 M_HYP = SpaceSpec(SpaceKind.M_HYP)
@@ -104,7 +97,7 @@ class SparseVector:
     def __post_init__(self) -> None:
         seen = {}
         for node, value in self.entries:
-            if not isinstance(node, tuple) or not all(isinstance(i, int) and i >= 0 for i in node):
+            if not isinstance(node, tuple) or not all(type(i) is int and i >= 0 for i in node):
                 raise InvalidVectorError(f"nodes must be tuples of naturals, got {node!r}")
             if node in seen:
                 raise InvalidVectorError(f"duplicate node {node!r}")

@@ -120,6 +120,19 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert json.loads(out)["error"] == "schema"
     code, _ = run_cli(capsys, "norm", str(tmp_path / "missing.json"))
     assert code == 2
+    # JSON booleans are not child indices, counts or signs
+    entries = [{"node": [True], "value": "1"}, {"node": [2], "value": "1"}]
+    terms = [{"coeff": "1", "top": [True], "bottom": [1]}]
+    ext = {"space": "JH", "vector": {"entries": [{"node": [], "value": "1/2"}]}}
+    for argv, doc in [
+        (("norm",), {"space": "JT_INF", "entries": entries}),
+        (("dual-norm",), {"space": "JT_INF", "class": "general", "terms": terms}),
+        (("certify", "extend"), dict(ext, n=2, signs=[True, -1])),
+        (("certify", "extend"), dict(ext, n=True, signs=[1])),
+    ]:
+        code, out = run_cli(capsys, *argv, write(tmp_path, "bool.json", doc))
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "schema", argv
 
 
 def test_certify_extend(tmp_path, capsys):

@@ -1,9 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from jamestree.errors import SpaceMismatchError
 from jamestree.norms import evaluate_family, literal_norm_sq_jt, norm
 from jamestree.reference import naive_norm
 from jamestree.sampling import nonzero_fraction, random_node, random_vector
@@ -12,7 +9,6 @@ from jamestree.spaces import (
     JH,
     JH_INF,
     JT_INF,
-    JT_INF_LITERAL,
     M_HYP,
     SparseVector,
     project_levels,
@@ -171,11 +167,6 @@ def test_literal_variant():
     assert norm(x, JT_INF).value_sq == 3  # three disjoint singletons
     literal_sq, _ = literal_norm_sq_jt(x)
     assert literal_sq == 5  # {root, (1,1)} skipping the flip, plus {(1,)}
-
-
-def test_norm_rejects_literal_spec():
-    with pytest.raises(SpaceMismatchError):
-        norm(unit_vector(()), JT_INF_LITERAL)
 
 
 def test_engine_matches_truncated_universe():

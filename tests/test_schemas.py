@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from jamestree import schemas
-from jamestree.errors import SchemaError
+from jamestree.errors import InvalidVectorError, SchemaError
 from jamestree.norms import norm
 from jamestree.spaces import JH, JT_INF, SparseVector
 from jamestree.surds import Surd
@@ -38,6 +38,14 @@ def test_vector_validation_errors():
         schemas.vector_from_json({"space": "JH", "entries": [{"node": [-1], "value": "1"}]})
     with pytest.raises(SchemaError):
         schemas.vector_from_json({"space": "JH"})
+    with pytest.raises(SchemaError):  # bool is an int subclass, not a child index
+        schemas.vector_from_json({"space": "JT_INF", "entries": [{"node": [True], "value": "1"}]})
+    with pytest.raises(SchemaError):
+        schemas.functional_from_json(
+            {"space": "JT_INF", "class": "general", "terms": [{"coeff": "1", "top": [True], "bottom": [1]}]}
+        )
+    with pytest.raises(InvalidVectorError):
+        SparseVector((((False,), Fraction(1)),))
 
 
 def test_functional_round_trip():
