@@ -353,6 +353,13 @@ class OctahedralityReport:
         if self.deficit is not None:
             return float(self.deficit)
         num_sq, lam, den_sq = self.deficit_parts
+        # The ratio is at most 1 and does not change when sqrt(num_sq), lam
+        # and sqrt(den_sq) are divided by one power of two: pick it so the
+        # largest part is near 1 when a part would leave the float range.
+        top = max(num_sq, lam * lam, den_sq)
+        k = (top.numerator.bit_length() - top.denominator.bit_length()) // 2
+        if abs(k) > 400:
+            num_sq, lam, den_sq = num_sq / Fraction(4) ** k, lam / Fraction(2) ** k, den_sq / Fraction(4) ** k
         return float(num_sq) ** 0.5 / (float(lam) + float(den_sq) ** 0.5)
 
 

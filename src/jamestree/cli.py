@@ -28,6 +28,7 @@ from .errors import JamesTreeError, SchemaError
 from .norms import literal_norm_sq_jt, norm
 from .slices import SliceSpec, slice_diameter, slice_members
 from .spaces import SpaceKind
+from .surds import float_or_none
 from .verify import SUITES, run_suite
 
 
@@ -35,7 +36,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise SchemaError(f"cannot read {path}: {exc}") from None
 
 
@@ -115,7 +116,7 @@ def _cmd_norm(args) -> int:
             "literal": {
                 "value_sq": schemas.fraction_to_str(literal_sq),
                 "witness_chains": [[list(n) for n in chain] for chain in literal_witness],
-                "float_value": float(literal_sq) ** 0.5,
+                "float_value": float_or_none(literal_sq, root=True),
             },
         }
         _emit(report, config)
@@ -266,8 +267,16 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a schema error (exit 2 with a JSON
+    error object) instead of printing usage; subcommand parsers inherit it."""
+
+    def error(self, message: str):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jamestree",
         description="Exact norms, dual norms, slices and diameter certificates "
         "for the tree spaces JT_INF, JH, JH_INF and the hyperplane M_HYP.",
@@ -322,12 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # Rationals on the wire are exact decimal strings of any length; lift
+    # CPython's 4300-digit cap on int <-> str conversion so that a long
+    # input or a long result is read and printed rather than a traceback.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # --help; usage errors raise SchemaError
+            return 0
         return args.func(args)
     except SchemaError as exc:
         sys.stdout.write(json.dumps({"error": "schema", "message": str(exc)}) + "\n")

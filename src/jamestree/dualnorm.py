@@ -11,8 +11,11 @@ optimizer leaves the ball, its witness family yields a valid cut
 
 with w_i the segment-sum signs (L1 spaces; a signed admissible family) or a
 rational rounding of segment-sum / norm (JT_INF; a molecule), and the loop
-repeats.  Level truncation is exact for cap >= depth(g) because level
-projections have norm one.
+repeats.  One `lp.LPState` lives for the whole call and goes with the grown
+row list to every round's `simplex_max`, so each new cut is absorbed by dual
+simplex from the last optimal basis instead of a solve from scratch.  Level
+truncation is exact for cap >= depth(g) because level projections have norm
+one.
 
 Variable sets are finite: all dyadic nodes up to the cap for JH; for the
 infinitely branching spaces, the ancestor closure of g's segment nodes
@@ -22,7 +25,8 @@ through fresh children without changing sums).
 
 For the L1 spaces the cut universe is finite and every round strictly cuts
 the current LP vertex, so the loop terminates with lower == upper (exact).
-For JT_INF it stops at upper - lower <= tol.
+For JT_INF it stops at upper - lower <= tol, and tol must be at least
+10^-12 of the box bound sum |g_t|.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from math import isqrt
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ConvergenceError, InvalidFunctionalError, PreconditionError
 from .functionals import DualFunctional, evaluate
-from .lp import simplex_max
+from .lp import LPState, simplex_max
 from .norms import NormResult, norm
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
 from .surds import sqrt_bounds
@@ -85,6 +89,13 @@ def _rho_below_inv_sqrt(value_sq: Fraction, scale: int) -> Fraction:
     """Rational rho with rho^2 * value_sq <= 1; for value_sq > 1 also
     rho * value_sq > 1 (so molecule cuts actually cut the iterate)."""
     return sqrt_bounds(value_sq, scale)[0] / value_sq
+
+
+# Molecule cut weights are rounded from floats to at most 12 digits (see
+# `_molecule_cut_weights`).  A JT_INF gap finer than 10^-12 of the box bound
+# sum |g_t| is beyond them: the exact fallback cuts then compound in bit size
+# round after round, and the loop runs for hours instead of hitting its cap.
+_JT_RESOLUTION = Fraction(1, 10**12)
 
 
 def _molecule_cut_weights(sums: list[Fraction], value_sq: Fraction) -> list[Fraction]:
@@ -154,8 +165,8 @@ def dual_norm(
 
     The default cap is the deepest node of g, which already makes the
     truncated value equal the full dual norm.  Raises PreconditionError when
-    g uses nodes deeper than an explicit cap, ConvergenceError past the
-    iteration cap.
+    g uses nodes deeper than an explicit cap or, for JT_INF, when tol is
+    below 10^-12 of sum |g_t|; ConvergenceError past the iteration cap.
     """
     tol = config.tol if tol is None else tol
     if tol <= 0:
@@ -171,8 +182,14 @@ def dual_norm(
     if space.kind is SpaceKind.M_HYP:
         coeffs.pop(ROOT, None)  # the hyperplane never sees the root coordinate
     objective = [coeffs.get(v, Fraction(0)) for v in variables]
+    box_bound = sum((abs(c) for c in objective), Fraction(0))
+    if not space.aggregates_l1 and tol < box_bound * _JT_RESOLUTION:
+        raise PreconditionError(
+            f"tol {tol} is below 10^-12 of the box bound {box_bound}, finer than JT_INF cuts resolve"
+        )
 
     rows: list[tuple[list[Fraction], Fraction]] = []  # cuts; the box is the LP's bounds
+    lp_state = LPState()  # each round resumes from the last round's optimal basis
     row_keys: set[tuple[Fraction, ...]] = set()
 
     lower = Fraction(0)
@@ -200,7 +217,7 @@ def dual_norm(
         rounds += 1
         if rounds > config.iteration_cap:
             raise ConvergenceError(f"dual_norm exceeded {config.iteration_cap} cutting rounds")
-        upper, xvec = simplex_max(objective, rows)
+        upper, xvec = simplex_max(objective, rows, lp_state)
         if upper <= lower:
             upper = lower
             break

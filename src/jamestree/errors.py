@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+import json
+
+
+def wire_text(raw) -> str:
+    """`raw` written as JSON, the form a user gave it in, for error messages.
+    Tuples print as arrays; a value JSON cannot hold prints as its repr."""
+    return json.dumps(raw, default=repr)
+
 
 class JamesTreeError(Exception):
     """Base class for all package errors."""

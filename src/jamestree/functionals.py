@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidFunctionalError
+from .errors import InvalidFunctionalError, wire_text
 from .spaces import Node, SparseVector, SpaceSpec
 from .surds import exact_sqrt
 from .trees import Segment, family_disjoint, is_admissible, segment_sum
@@ -32,7 +32,7 @@ class DualFunctional:
 
     def __post_init__(self) -> None:
         if self.class_tag not in (MOLECULE, SIGNED_FAMILY, GENERAL):
-            raise InvalidFunctionalError(f"unknown class {self.class_tag!r}")
+            raise InvalidFunctionalError(f"unknown class {wire_text(self.class_tag)}")
         object.__setattr__(
             self,
             "terms",

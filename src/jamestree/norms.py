@@ -21,6 +21,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import EnumerationCapError, JamesTreeError
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
+from .surds import float_or_none
 from .trees import (
     AdmissibleFamily,
     Closure,
@@ -46,10 +47,10 @@ class NormResult:
     witness: AdmissibleFamily
 
     @property
-    def float_value(self) -> float:
+    def float_value(self) -> float | None:
         if self.value is not None:
-            return float(self.value)
-        return float(self.value_sq) ** 0.5
+            return float_or_none(self.value)
+        return float_or_none(self.value_sq, root=True)
 
     # Exact comparisons against rational bounds (squares for JT_INF).
     def le(self, bound: Fraction) -> bool:

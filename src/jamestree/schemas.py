@@ -3,7 +3,8 @@
 Rationals travel as canonical strings "p/q" (or "p" for integers) with q > 0
 and gcd(p, q) = 1; nodes as arrays of naturals; irrational report values as
 tagged surd triples a + b*sqrt(2) + c*sqrt(delta).  Floats appear only in the
-optional "float_value" convenience fields.
+optional "float_value" convenience fields, which are null when the value
+lies beyond the float range.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from typing import Any
 
 from .certificates import CcwCertificate, OctahedralityReport, Sd2pCertificate
 from .dualnorm import DualNormCertificate
-from .errors import SchemaError
+from .errors import SchemaError, wire_text
 from .functionals import GENERAL, DualFunctional
 from .norms import NormResult
 from .slices import DiameterReport
 from .spaces import SparseVector, SpaceKind, SpaceSpec
-from .surds import Surd
+from .surds import Surd, float_or_none
 from .trees import AdmissibleFamily, Segment
 
 CERT_VERSION = 1
@@ -30,17 +31,19 @@ def fraction_to_str(value: Fraction) -> str:
 
 def parse_fraction(raw: Any, what: str = "value") -> Fraction:
     if not isinstance(raw, str):
-        raise SchemaError(f"{what} must be a rational string, got {type(raw).__name__}")
+        raise SchemaError(f"{what} must be a rational string, got {wire_text(raw)}")
     try:
         value = Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {raw!r} for {what}: {exc}") from None
+    except ValueError:
+        raise SchemaError(f"bad rational {wire_text(raw)} for {what}") from None
+    except ZeroDivisionError:
+        raise SchemaError(f"bad rational {wire_text(raw)} for {what}: zero denominator") from None
     return value
 
 
 def parse_node(raw: Any, what: str = "node") -> tuple[int, ...]:
     if not isinstance(raw, list) or not all(type(i) is int and i >= 0 for i in raw):
-        raise SchemaError(f"{what} must be an array of naturals, got {raw!r}")
+        raise SchemaError(f"{what} must be an array of naturals, got {wire_text(raw)}")
     return tuple(raw)
 
 
@@ -48,7 +51,7 @@ def parse_space(raw: Any) -> SpaceSpec:
     try:
         kind = SpaceKind(raw)
     except ValueError:
-        raise SchemaError(f"unknown space {raw!r}") from None
+        raise SchemaError(f"unknown space {wire_text(raw)}") from None
     return SpaceSpec(kind)
 
 
@@ -162,7 +165,7 @@ def dual_cert_to_json(cert: DualNormCertificate) -> dict:
         "iterations": cert.iterations,
         "witness_vector": vector_to_json(cert.witness_vector),
         "cuts": [family_to_json(f) for f in cert.cuts],
-        "float_value": float(cert.upper),
+        "float_value": float_or_none(cert.upper),
     }
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InvalidVectorError
+from .errors import InvalidVectorError, wire_text
 
 Node = tuple[int, ...]
 
@@ -98,9 +98,9 @@ class SparseVector:
         seen = {}
         for node, value in self.entries:
             if not isinstance(node, tuple) or not all(type(i) is int and i >= 0 for i in node):
-                raise InvalidVectorError(f"nodes must be tuples of naturals, got {node!r}")
+                raise InvalidVectorError(f"nodes must be tuples of naturals, got {wire_text(node)}")
             if node in seen:
-                raise InvalidVectorError(f"duplicate node {node!r}")
+                raise InvalidVectorError(f"duplicate node {wire_text(node)}")
             seen[node] = _as_fraction(value)
         cleaned = tuple(sorted((n, v) for n, v in seen.items() if v != 0))
         object.__setattr__(self, "entries", cleaned)
@@ -146,7 +146,7 @@ class SparseVector:
         if space.dyadic:
             for node in self.support:
                 if not is_dyadic(node):
-                    raise InvalidVectorError(f"node {node!r} is not a dyadic path")
+                    raise InvalidVectorError(f"node {wire_text(node)} is not a dyadic path")
         if space.kind is SpaceKind.M_HYP and self.value_at(ROOT) != 0:
             raise InvalidVectorError("hyperplane vectors carry no root entry")
 

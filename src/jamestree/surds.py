@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, ldexp
 
 from .errors import AmbiguousComparisonError
 
@@ -26,6 +26,23 @@ def sqrt_bounds(value: Fraction, scale: int) -> tuple[Fraction, Fraction]:
     n, d = value.numerator, value.denominator
     base = isqrt(n * d * scale * scale)
     return Fraction(base, d * scale), Fraction(base + 1, d * scale)
+
+
+def float_or_none(value: Fraction, root: bool = False) -> float | None:
+    """The float nearest value, or sqrt(value) when root; None when that
+    number lies beyond the float range.  A root whose radicand overflows a
+    float is taken of value / 4^k and scaled back by 2^k."""
+    try:
+        number = float(value)
+    except OverflowError:
+        if not root:
+            return None
+        k = (value.numerator.bit_length() - value.denominator.bit_length()) // 2
+        try:
+            return ldexp(float(value / 4**k) ** 0.5, k)
+        except OverflowError:
+            return None
+    return number ** 0.5 if root else number
 
 
 def sqrt_bracket(value: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -97,9 +114,9 @@ class Surd:
         return self.a + self.c * root
 
     @property
-    def float_value(self) -> float:
+    def float_value(self) -> float | None:
         lo, hi = self.bracket()
-        return float((lo + hi) / 2)
+        return float_or_none((lo + hi) / 2)
 
 
 def as_surd(value) -> Surd:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import EnumerationCapError, InvalidSegmentError
+from .errors import EnumerationCapError, InvalidSegmentError, wire_text
 from .spaces import Node, ROOT, SparseVector, SpaceSpec
 
 
@@ -73,7 +73,7 @@ class Segment:
         object.__setattr__(self, "bottom", tuple(self.bottom))
         if not is_prefix(self.top, self.bottom):
             raise InvalidSegmentError(
-                f"top {self.top!r} is not an ancestor-or-equal of bottom {self.bottom!r}"
+                f"top {wire_text(self.top)} is not an ancestor-or-equal of bottom {wire_text(self.bottom)}"
             )
 
     @property

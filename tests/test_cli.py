@@ -133,6 +133,68 @@ def test_schema_error_exit_code(tmp_path, capsys):
         code, out = run_cli(capsys, *argv, write(tmp_path, "bool.json", doc))
         assert code == 2, argv
         assert json.loads(out)["error"] == "schema", argv
+    # messages quote the rejected input as JSON, the way the user wrote it
+    for doc, quoted in [
+        ({"space": "JT_INF", "entries": entries}, "got [true]"),
+        ({"space": "JH", "entries": [{"node": [0], "value": "1/0"}]}, 'bad rational "1/0"'),
+        ({"space": "JHX", "entries": []}, 'unknown space "JHX"'),
+        ({"space": "JH", "entries": [{"node": [2], "value": "1"}]}, "node [2] is not"),
+        ({"space": "JH", "entries": [{"node": [0], "value": "1"}, {"node": [0], "value": "2"}]}, "duplicate node [0]"),
+    ]:
+        code, out = run_cli(capsys, "norm", write(tmp_path, "msg.json", doc))
+        assert code == 2
+        assert quoted in json.loads(out)["message"]
+    code, out = run_cli(capsys, "dual-norm", write(tmp_path, "seg.json", {"space": "JH", "terms": [{"coeff": "1", "top": [1], "bottom": [0]}]}))
+    assert code == 2
+    assert "top [1] is not an ancestor-or-equal of bottom [0]" in json.loads(out)["message"]
+
+
+def test_long_numbers_and_unreadable_files(tmp_path, capsys):
+    """Integers past CPython's 4300-digit str limit are read and printed; a
+    file that is not UTF-8 is a schema error."""
+    long_node = tmp_path / "node.json"
+    long_node.write_text('{"space": "JH_INF", "entries": [{"node": [' + "1" * 5000 + '], "value": "1"}]}')
+    code, out = run_cli(capsys, "norm", str(long_node))
+    assert code == 0
+    assert json.loads(out)["witness"][0]["bottom"] == [int("1" * 5000)]
+    jt = write(tmp_path, "jt.json", {"space": "JT_INF", "entries": [{"node": [0], "value": "1e2200"}]})
+    code, out = run_cli(capsys, "norm", jt)
+    assert code == 0
+    assert json.loads(out)["value_sq"] == str(10**4400)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    code, out = run_cli(capsys, "norm", str(binary))
+    assert code == 2
+    assert json.loads(out)["error"] == "schema"
+
+
+def test_float_value_null_beyond_float_range(tmp_path, capsys):
+    """Values past the float range print float_value null, never a traceback."""
+    huge = write(tmp_path, "huge.json", {"space": "JH", "entries": [{"node": [0], "value": "1e400"}]})
+    code, out = run_cli(capsys, "norm", huge)
+    assert code == 0
+    assert json.loads(out)["float_value"] is None
+    g = write(tmp_path, "g.json", {"space": "JH", "terms": [{"coeff": "1e400", "top": [], "bottom": [0]}]})
+    code, out = run_cli(capsys, "dual-norm", g)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["upper"] == str(10**400) and doc["float_value"] is None
+    # a JT_INF norm that fits a float although its square does not
+    jt = write(tmp_path, "jt.json", {"space": "JT_INF", "entries": [{"node": [0], "value": "1e200"}]})
+    code, out = run_cli(capsys, "norm", jt)
+    assert code == 0
+    assert json.loads(out)["float_value"] == 1e200
+    # the octahedrality ratio is at most 1 even when its parts leave the float range
+    for lam, basis_value in (("1", "1e400"), ("1e-400", "1")):
+        doc = {
+            "space": "JT_INF",
+            "basis": [{"entries": [{"node": [1], "value": basis_value}]}],
+            "candidate": {"entries": [{"node": [0], "value": "1"}]},
+            "mesh": [{"lambda": lam, "coeffs": ["1e400" if lam == "1" else "0"]}],
+        }
+        code, out = run_cli(capsys, "certify", "octahedral", write(tmp_path, "oct.json", doc))
+        assert code == 0
+        assert 0 < json.loads(out)["float_value"] <= 1
 
 
 def test_certify_extend(tmp_path, capsys):
@@ -270,6 +332,9 @@ def test_out_of_range_flags_exit_2(tmp_path, capsys):
         ("dual-norm", g, "--tol", "0"),
         ("slice", x, "--space", "JH", "--alpha", "1/10", "--level-cap", "-1"),
         ("diameter", x, "--space", "JH", "--alpha", "1/10", "--level-cap", "-1"),
+        ("slice", x, "--space", "JH", "--alpha", "-1"),  # argparse reads -1 as a flag
+        ("dual-norm", g, "--level-cap", "q"),
+        ("norm",),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 2

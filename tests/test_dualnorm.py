@@ -117,6 +117,19 @@ def test_level_cap_precondition():
         dual_norm(g, JH_INF, level_cap=2)
 
 
+def test_jt_tol_finer_than_cut_resolution_rejected():
+    # the box bound of g is 2, so JT_INF accepts tol >= 2/10^12 and stops
+    # there; a 10^400 coefficient asks for a 10^-409 relative gap, which the
+    # cut loop used to chase for hours
+    g = segment_functional((1,), (1, 0))
+    assert dual_norm(g, JT_INF, tol=Fraction(2, 10**12)).upper == 1
+    with pytest.raises(PreconditionError):
+        dual_norm(g, JT_INF, tol=Fraction(1, 10**12))
+    with pytest.raises(PreconditionError):
+        dual_norm(g.scale(Fraction(10**400)), JT_INF)
+    assert dual_norm(g, JH_INF, tol=Fraction(1, 10**30)).exact  # L1 spaces are exact; tol is unused
+
+
 def test_oracle_equivalence_dense_lp():
     # small functionals against the full-constraint-set LP, all three L1 spaces
     from jamestree.dualnorm import _variables

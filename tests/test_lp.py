@@ -1,10 +1,12 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from jamestree.lp import LPError, simplex_max
+from jamestree.lp import LPError, LPState, simplex_max
 
 F = Fraction
 
@@ -55,21 +57,29 @@ def _solve(eqs):
 
 
 def _vertex_max(c, rows):
-    """Max of c.x over the box-bounded polytope by enumerating its vertices."""
+    """Max of c.x over the box-bounded polytope by enumerating its vertices.
+
+    A vertex has n linearly independent active constraints; the box ones fix
+    distinct coordinates at -1 or 1, and the active rows determine the rest.
+    """
     n = len(c)
-    box = []
-    for j in range(n):
-        unit = [F(0)] * n
-        unit[j] = F(1)
-        box += [(unit, F(1)), ([-u for u in unit], F(1))]
-    cons = rows + box
     best = None
-    for chosen in combinations(cons, n):
-        x = _solve(chosen)
-        if x is None or any(sum(a * v for a, v in zip(row, x)) > rhs for row, rhs in cons):
-            continue
-        value = sum(a * v for a, v in zip(c, x))
-        best = value if best is None else max(best, value)
+    for k in range(n + 1):
+        for fixed in combinations(range(n), k):
+            free = [j for j in range(n) if j not in fixed]
+            for signs in product((F(-1), F(1)), repeat=k):
+                for active in combinations(rows, n - k):
+                    eqs = [([a[j] for j in free], rhs - sum(a[j] * s for j, s in zip(fixed, signs))) for a, rhs in active]
+                    sol = _solve(eqs)
+                    if sol is None:
+                        continue
+                    x = [F(0)] * n
+                    for j, v in zip(free + list(fixed), sol + list(signs)):
+                        x[j] = v
+                    if any(abs(v) > 1 for v in x) or any(sum(a * v for a, v in zip(row, x)) > rhs for row, rhs in rows):
+                        continue
+                    value = sum(a * v for a, v in zip(c, x))
+                    best = value if best is None else max(best, value)
     return best
 
 
@@ -85,3 +95,54 @@ def test_matches_vertex_enumeration():
         assert all(-1 <= v <= 1 for v in x)
         assert all(sum(a * v for a, v in zip(row, x)) <= rhs for row, rhs in rows)
         assert sum(a * v for a, v in zip(c, x)) == value
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Fail instead of hanging when a solver change makes the simplex cycle."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"simplex_max still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _random_row(rng, n):
+    return [F(rng.randint(-2, 2)) for _ in range(n)], F(rng.randint(0, 2))
+
+
+def test_warm_start_matches_cold_and_vertex_enumeration():
+    rng = random.Random(11)
+    for trial in range(80):
+        n = rng.randint(1, 5)
+        c = [F(rng.randint(-2, 2)) for _ in range(n)]  # zeros and repeats tie optima
+        state = LPState()
+        rows = []
+        while len(rows) <= 8 - n:  # keeps the vertex enumeration small
+            with _time_limit(30):
+                value, x = simplex_max(c, rows, state)
+                cold_value = simplex_max(c, rows)[0]
+            assert value == cold_value == _vertex_max(c, rows), (c, rows)
+            assert all(-1 <= v <= 1 for v in x)
+            assert all(sum(a * v for a, v in zip(row, x)) <= rhs for row, rhs in rows)
+            assert sum(a * v for a, v in zip(c, x)) == value
+            rows = rows + [_random_row(rng, n) for _ in range(rng.randint(1, 2))]
+
+
+def test_state_rejects_rows_that_do_not_extend_it():
+    c = [F(1), F(1)]
+    first = ([F(1), F(1)], F(1))
+    state = LPState()
+    assert simplex_max(c, [first], state)[0] == 1
+    for rows in ([], [([F(1), F(2)], F(1))], [([F(1), F(1)], F(2)), first]):
+        with pytest.raises(LPError):
+            simplex_max(c, rows, state)
+    with pytest.raises(LPError):
+        simplex_max([F(1), F(0)], [first], state)
+    assert simplex_max(c, [first, ([F(1), F(0)], F(0))], state) == (F(1), [F(0), F(1)])

@@ -4,7 +4,7 @@ from math import isqrt
 import pytest
 
 from jamestree.errors import AmbiguousComparisonError
-from jamestree.surds import Surd, sqrt_bounds, sqrt_bracket, surd_le, surd_lt
+from jamestree.surds import Surd, float_or_none, sqrt_bounds, sqrt_bracket, surd_le, surd_lt
 
 
 def test_sqrt_bracket_tight_and_outward():
@@ -55,3 +55,14 @@ def test_sqrt_bounds_match_inline_formulas(scale):
         assert (lo, hi) == (Fraction(base, d * scale), Fraction(base + 1, d * scale))
         assert (lo / value, hi / value) == (Fraction(base, n * scale), Fraction(base + 1, n * scale))
         assert lo * lo <= value < hi * hi
+
+
+def test_float_or_none_at_the_float_range():
+    big = Fraction(10**400)
+    assert float_or_none(big) is None
+    assert float_or_none(big, root=True) == 1e200  # the root fits though its radicand does not
+    assert float_or_none(big * big, root=True) is None
+    assert float_or_none(-big) is None
+    for value in (Fraction(0), Fraction(2), Fraction(1, 3), Fraction(10**300), Fraction(1, 10**400)):
+        assert float_or_none(value) == float(value)
+        assert float_or_none(value, root=True) == float(value) ** 0.5
