@@ -24,7 +24,7 @@ from .certificates import (
 )
 from .config import DEFAULT_CONFIG, RunConfig
 from .dualnorm import dual_norm
-from .errors import JamesTreeError, SchemaError
+from .errors import JamesTreeError, SchemaError, wire_text
 from .norms import literal_norm_sq_jt, norm
 from .slices import SliceSpec, slice_diameter, slice_members
 from .spaces import SpaceKind
@@ -275,6 +275,14 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(f"{self.prog}: {message}")
 
 
+def _int_arg(text: str) -> int:
+    """Type of the integer flags; a rejected value is quoted as JSON."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {wire_text(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="jamestree",
@@ -283,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file overriding run defaults")
-    common.add_argument("--seed", type=int, help="seed for randomized suites")
-    common.add_argument("--parallel", type=int, help="worker count for enumeration sweeps")
+    common.add_argument("--seed", type=_int_arg, help="seed for randomized suites")
+    common.add_argument("--parallel", type=_int_arg, help="worker count for enumeration sweeps")
     common.add_argument("--format", choices=("json", "tsv"), help="report format")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual-norm", help="certified dual norm of a functional JSON file", parents=[common])
     p.add_argument("functional")
     p.add_argument("--space")
-    p.add_argument("--level-cap", type=int, default=None)
+    p.add_argument("--level-cap", type=_int_arg, default=None)
     p.add_argument("--tol")
     p.set_defaults(func=_cmd_dual_norm)
 
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vector")
     p.add_argument("--alpha", required=True)
     p.add_argument("--space")
-    p.add_argument("--level-cap", type=int, default=None)
+    p.add_argument("--level-cap", type=_int_arg, default=None)
     p.set_defaults(func=_cmd_slice)
 
     p = sub.add_parser("diameter", help="slice diameter report", parents=[common])
@@ -315,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=("JT_SQRT2", "JHINF_53", "JH_ZERO"))
     p.add_argument("--epsilon")
     p.add_argument("--delta")
-    p.add_argument("--level-cap", type=int, default=None)
+    p.add_argument("--level-cap", type=_int_arg, default=None)
     p.set_defaults(func=_cmd_diameter)
 
     p = sub.add_parser("certify", help="build and verify a witness certificate", parents=[common])

@@ -9,19 +9,38 @@ imports this module outside of tests and the verification suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Callable
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .norms import evaluate_family
 from .spaces import Node, SparseVector, SpaceKind, SpaceSpec
 from .surds import sqrt_bounds
 from .trees import (
     AdmissibleFamily,
     Segment,
+    _disjoint_subsets,
     avoiding_branch,
     enumerate_admissible_families,
+    is_prefix,
     max_index_used,
-    segments_disjoint,
+    segment_sum,
 )
+
+
+def _integer_scores(x: SparseVector, space: SpaceSpec) -> tuple[Callable[[Segment], int], int]:
+    """Exact integer segment scores and their common denominator.
+
+    With `scale` the lcm of the entry denominators, `score(seg)` is
+    |scale * segment sum| (L1) or (scale * segment sum)^2 (JT_INF), so a
+    family's norm expression is its total score over the returned denominator.
+    """
+    scale = lcm(*(v.denominator for _, v in x.entries))
+
+    def score(seg: Segment) -> int:
+        scaled = (segment_sum(x, seg) * scale).numerator
+        return abs(scaled) if space.aggregates_l1 else scaled * scaled
+
+    return score, scale if space.aggregates_l1 else scale * scale
 
 
 def naive_norm(
@@ -30,23 +49,27 @@ def naive_norm(
     """Exhaustive max over the canonical family stream.
 
     Returns (value, witness) for L1 spaces and (value squared, witness) for
-    JT_INF, with the witness minimal in the canonical family order.
+    JT_INF, with the witness minimal in the canonical family order: the stream
+    is sorted, so the first family with a strictly larger value is kept.
+    Each distinct segment is scored once (`_integer_scores`) and families are
+    compared by their integer totals.
     """
     x.validate_for(space)
-    best = Fraction(0)
+    score, denominator = _integer_scores(x, space)
+    scores: dict[Segment, int] = {}
+    best = 0
     best_family = AdmissibleFamily((), space)
-    best_key = None
     for family in enumerate_admissible_families(x.support, space, config):
-        val = evaluate_family(family, x)
-        key = family.sort_key()
-        if val > best or (val == best and best_key is not None and key < best_key):
-            best = val
+        total = 0
+        for seg in family.segments:
+            s = scores.get(seg)
+            if s is None:
+                s = scores[seg] = score(seg)
+            total += s
+        if total > best:
+            best = total
             best_family = family
-            best_key = key
-        elif val == best and best_key is None and val > 0:
-            best_family = family
-            best_key = key
-    return best, best_family
+    return Fraction(best, denominator), best_family
 
 
 def _dyadic_zero_extension(bottom: Node, depth: int, support_set: frozenset) -> Node | None:
@@ -123,65 +146,37 @@ def truncated_universe_norm(
     support and bottoms below the support, so it independently validates the
     canonical reduction whenever the truncated universe has fresh room (its
     branching exceeds every index the canonical extensions would use, and its
-    depth reaches the deepest support level).
+    depth reaches the deepest support level).  Every pairwise-disjoint subset
+    of the explicit candidates is visited by `trees._disjoint_subsets` (so
+    the default `family_cap` bounds it), with each candidate scored once.
     """
     nodes: list[Node] = [()]
     frontier: list[Node] = [()]
     for _ in range(depth):
         frontier = [n + (i,) for n in frontier for i in range(branching)]
         nodes.extend(frontier)
-    by_node: dict[Node, list[Node]] = {}
-    for top in nodes:
-        by_node[top] = [b for b in nodes if len(b) >= len(top) and b[: len(top)] == top]
-
-    def chain_sum(top: Node, bottom: Node) -> Fraction:
-        return sum(
-            (x.value_at(bottom[:k]) for k in range(len(top), len(bottom) + 1)), Fraction(0)
-        )
-
-    best = Fraction(0)
+    segments = [Segment(t, b) for t in nodes for b in nodes if is_prefix(t, b)]
     if space.level_aligned:
-        for p in range(space.min_top_level, depth + 1):
-            for q in range(p, depth + 1):
-                cands = [
-                    Segment(t, b)
-                    for t in nodes
-                    if len(t) == p
-                    for b in by_node[t]
-                    if len(b) == q
-                ]
-                chosen: list[Segment] = []
-
-                def rec(start: int, acc: Fraction) -> None:
-                    nonlocal best
-                    if acc > best:
-                        best = acc
-                    for j in range(start, len(cands)):
-                        seg = cands[j]
-                        if all(segments_disjoint(seg, c) for c in chosen):
-                            chosen.append(seg)
-                            rec(j + 1, acc + abs(chain_sum(seg.top, seg.bottom)))
-                            chosen.pop()
-
-                rec(0, Fraction(0))
+        groups = [
+            [s for s in segments if s.p == p and s.q == q]
+            for p in range(space.min_top_level, depth + 1)
+            for q in range(p, depth + 1)
+        ]
     else:
-        cands = [Segment(t, b) for t in nodes for b in by_node[t]]
-        chosen = []
+        groups = [segments]
+    score, denominator = _integer_scores(x, space)
+    scores = {s: score(s) for group in groups for s in group}
+    best = 0
 
-        def rec(start: int, acc: Fraction) -> None:
-            nonlocal best
-            if acc > best:
-                best = acc
-            for j in range(start, len(cands)):
-                seg = cands[j]
-                if all(segments_disjoint(seg, c) for c in chosen):
-                    chosen.append(seg)
-                    s = chain_sum(seg.top, seg.bottom)
-                    rec(j + 1, acc + s * s)
-                    chosen.pop()
+    def emit(family: tuple[Segment, ...]) -> None:
+        nonlocal best
+        total = sum(scores[s] for s in family)
+        if total > best:
+            best = total
 
-        rec(0, Fraction(0))
-    return best
+    for cands in groups:
+        _disjoint_subsets(cands, DEFAULT_CONFIG.family_cap, emit)
+    return Fraction(best, denominator)
 
 
 def dense_dual_norm_l1(

@@ -9,6 +9,7 @@ lies beyond the float range.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -24,6 +25,11 @@ from .trees import AdmissibleFamily, Segment
 
 CERT_VERSION = 1
 
+#: Largest |e| accepted in a decimal exponent such as "1e-400": `Fraction`
+#: builds 10**e in full, so an unbounded exponent means unbounded work.
+MAX_EXPONENT = 100_000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
 
 def fraction_to_str(value: Fraction) -> str:
     return str(Fraction(value))
@@ -32,6 +38,13 @@ def fraction_to_str(value: Fraction) -> str:
 def parse_fraction(raw: Any, what: str = "value") -> Fraction:
     if not isinstance(raw, str):
         raise SchemaError(f"{what} must be a rational string, got {wire_text(raw)}")
+    exponent = _EXPONENT.search(raw)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise SchemaError(
+                f"bad rational {wire_text(raw)} for {what}: exponent beyond {MAX_EXPONENT}"
+            )
     try:
         value = Fraction(raw)
     except ValueError:

@@ -233,23 +233,34 @@ def _disjoint_subsets(
     emit: Callable[[tuple[Segment, ...]], None],
 ) -> None:
     """Emit every nonempty pairwise-disjoint subset, in DFS order over the
-    candidate list (`emit` receives segments in candidate order)."""
+    candidate list (`emit` receives segments in candidate order).
+
+    Disjointness is tested once per candidate pair: bit k of `clash[j]` is set
+    when candidate k > j meets candidate j.  The DFS carries the union of the
+    chosen candidates' masks, so extending a subset is one bit test.
+    """
+    n = len(candidates)
+    clash = [0] * n
+    for j in range(n):
+        for k in range(j + 1, n):
+            if not segments_disjoint(candidates[j], candidates[k]):
+                clash[j] |= 1 << k
     count = 0
     chosen: list[Segment] = []
 
-    def rec(start: int) -> None:
+    def rec(start: int, blocked: int) -> None:
         nonlocal count
-        for j in range(start, len(candidates)):
-            seg = candidates[j]
-            if all(segments_disjoint(seg, c) for c in chosen):
-                chosen.append(seg)
-                count += 1
-                _guard(count, family_cap, "family enumeration")
-                emit(tuple(chosen))
-                rec(j + 1)
-                chosen.pop()
+        for j in range(start, n):
+            if blocked >> j & 1:
+                continue
+            chosen.append(candidates[j])
+            count += 1
+            _guard(count, family_cap, "family enumeration")
+            emit(tuple(chosen))
+            rec(j + 1, blocked | clash[j])
+            chosen.pop()
 
-    rec(0)
+    rec(0, 0)
 
 
 def _jt_core_candidates(closure: Closure, config: RunConfig) -> list[Segment]:

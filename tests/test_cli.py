@@ -339,6 +339,25 @@ def test_out_of_range_flags_exit_2(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert json.loads(out)["error"] == "schema"
+    # a rejected integer flag is quoted as JSON, not as a Python repr
+    for argv in (
+        ("dual-norm", g, "--level-cap", "q"),
+        ("slice", x, "--alpha", "1/10", "--level-cap", "q"),
+        ("norm", x, "--seed", "q"),
+        ("norm", x, "--parallel", "q"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert message.endswith('invalid int value: "q"'), message
+
+
+def test_huge_exponent_is_a_schema_error(tmp_path, capsys):
+    x = write(tmp_path, "x.json", {"space": "JH", "entries": [{"node": [], "value": "1e999999999"}]})
+    code, out = run_cli(capsys, "norm", x)
+    assert code == 2
+    assert json.loads(out)["error"] == "schema"
+    assert "exponent" in json.loads(out)["message"]
 
 
 @pytest.mark.parametrize(

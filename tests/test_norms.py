@@ -14,7 +14,7 @@ from jamestree.spaces import (
     project_levels,
     unit_vector,
 )
-from jamestree.trees import Segment, enumerate_admissible_families, is_admissible
+from jamestree.trees import AdmissibleFamily, Segment, enumerate_admissible_families, is_admissible
 
 
 def singleton_slice_vector(eps):
@@ -107,6 +107,28 @@ def test_engine_matches_oracle_including_witness_key():
         keys = [f.sort_key()[:2] for f in families if evaluate_family(f, x) == value]
         ties += keys.count(min(keys)) > 1
     assert ties > 0
+
+
+def test_naive_norm_is_exact_first_maximum_of_the_stream():
+    # mixed and huge denominators: the integer scores must give back exactly
+    # the Fraction maximum of `evaluate_family` and its first attaining family
+    # (±1/3 cancel, so some segments sum to zero)
+    values = (Fraction(1, 3), Fraction(-1, 3), Fraction(-5, 7), Fraction(1, 10**30), Fraction(-7, 2 * 10**30 + 1))
+    rng = random.Random(67)
+    for space in ALL_SPACES:
+        for _ in range(20):
+            nodes = {random_node(rng, space, 3, 2) for _ in range(rng.randint(1, 6))}
+            if space is M_HYP:
+                nodes.discard(())  # the hyperplane carries no root entry
+            x = SparseVector(tuple((n, rng.choice(values)) for n in sorted(nodes)))
+            value, witness = naive_norm(x, space)
+            best, first = Fraction(0), AdmissibleFamily((), space)
+            for family in enumerate_admissible_families(x.support, space):
+                v = evaluate_family(family, x)
+                if v > best:
+                    best, first = v, family
+            assert value == best and witness == first, (space.kind, x.entries)
+        assert naive_norm(SparseVector(()), space) == (0, AdmissibleFamily((), space))
 
 
 def test_norm_axioms_randomized():

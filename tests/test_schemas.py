@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,20 @@ def test_rational_strings_are_canonical():
         schemas.parse_fraction("1/0")
     with pytest.raises(SchemaError):
         schemas.parse_fraction("nope")
+
+
+def test_decimal_exponents_are_bounded():
+    # Fraction builds 10**e in full, so a short string with a huge exponent
+    # must be refused before it reaches Fraction
+    started = time.monotonic()
+    for raw in ("1e999999999", "-2E+100001", "1e-1_000_000", "3.5e99999999999999999999"):
+        with pytest.raises(SchemaError, match="exponent"):
+            schemas.parse_fraction(raw)
+    assert time.monotonic() - started < 1
+    assert schemas.parse_fraction("1e5000") == 10**5000
+    assert schemas.parse_fraction("1e-400") == Fraction(1, 10**400)
+    assert schemas.parse_fraction("-25e-0000000000001") == Fraction(-5, 2)
+    assert schemas.parse_fraction(f"1e{schemas.MAX_EXPONENT}") == 10**schemas.MAX_EXPONENT
 
 
 def test_vector_round_trip():

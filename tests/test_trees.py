@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jamestree.config import DEFAULT_CONFIG
 from jamestree.errors import InvalidSegmentError
 from jamestree.norms import evaluate_family
 from jamestree.reference import naive_norm, padded_variants
@@ -12,11 +14,16 @@ from jamestree.sampling import random_vector
 from jamestree.spaces import ALL_SPACES, JH, JH_INF, JT_INF, M_HYP
 from jamestree.trees import (
     AdmissibleFamily,
+    Closure,
     NodeOrder,
     Segment,
+    _jt_core_candidates,
+    aligned_candidates,
     avoiding_branch,
     enumerate_admissible_families,
+    family_disjoint,
     is_admissible,
+    max_index_used,
     node_order,
     segment_nodes,
     segments_disjoint,
@@ -141,12 +148,52 @@ def test_family_sort_key_orders_by_size_then_nodes():
 
 
 def test_enumeration_cap_guard():
-    from jamestree.config import DEFAULT_CONFIG
     from jamestree.errors import EnumerationCapError
 
-    tiny = DEFAULT_CONFIG.with_(family_cap=3)
-    with pytest.raises(EnumerationCapError):
-        enumerate_admissible_families([(), (1,), (2,)], JT_INF, tiny)
+    support = [(), (1,), (2,)]
+    count = len(enumerate_admissible_families(support, JT_INF))
+    assert count == 11
+    # the guard counts emitted families: exactly `count` fit under the cap
+    enumerate_admissible_families(support, JT_INF, DEFAULT_CONFIG.with_(family_cap=count))
+    for cap in (3, count - 1):
+        with pytest.raises(EnumerationCapError):
+            enumerate_admissible_families(support, JT_INF, DEFAULT_CONFIG.with_(family_cap=cap))
+
+
+def _brute_force_families(support, space):
+    """Every subset of the canonical candidates that `family_disjoint` keeps,
+    in canonical order."""
+    closure = Closure(support)
+    if not closure.support:
+        return []
+    top_level = max(len(n) for n in closure.support)
+    if space.level_aligned:
+        fresh = max_index_used(closure.support) + 1
+        groups = [
+            aligned_candidates(closure, p, q, space, fresh, DEFAULT_CONFIG)
+            for q in range(space.min_top_level, top_level + 1)
+            for p in range(space.min_top_level, q + 1)
+        ]
+    else:
+        groups = [_jt_core_candidates(closure, DEFAULT_CONFIG)]
+    out = []
+    for cands in groups:
+        for size in range(1, len(cands) + 1):
+            for subset in combinations(cands, size):
+                if family_disjoint(subset):
+                    out.append(AdmissibleFamily(subset, space))
+    out.sort(key=AdmissibleFamily.sort_key)
+    return out
+
+
+def test_enumeration_matches_brute_force_subsets():
+    rng = random.Random(23)
+    for space in ALL_SPACES:
+        for _ in range(15):
+            x = random_vector(rng, space, max_level=3, max_nodes=4, branching=2)
+            assert enumerate_admissible_families(x.support, space) == _brute_force_families(
+                x.support, space
+            ), (space.kind, x.entries)
 
 
 def test_segments_disjoint_matches_node_sets():
