@@ -274,6 +274,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise SchemaError(f"{self.prog}: {message}")
 
+    def _check_value(self, action, value):
+        # argparse's own message quotes the value and the choices as reprs
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(wire_text, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {wire_text(value)} (choose from {choices})")
+
 
 def _int_arg(text: str) -> int:
     """Type of the integer flags; a rejected value is quoted as JSON."""

@@ -1,14 +1,17 @@
 """Exact norm evaluation with attaining witness families.
 
 The optimized engine never enumerates families wholesale.  For the
-level-aligned (L1) spaces it sweeps the finitely many (p, q) level windows
-and, inside each window, picks per level-p ancestor the chain with the
-largest absolute sum (chains under distinct level-p nodes never conflict, and
-no two admissible segments can share a level-p node, so the window optimum is
-the sum of per-node optima).  For JT_INF one packing DP over the support
-closure, keyed lexicographically, gives the value, and reruns of it with the
-chosen nodes blocked build the witness greedily.  The naive exhaustive oracle
-lives in `reference` and is used in tests only; both routes must agree exactly.
+level-aligned (L1) spaces the norm is the best (p, q) level window, and a
+window's optimum is the sum, over the level-p nodes, of the largest absolute
+chain sum under each (chains under distinct level-p nodes never conflict, and
+no two admissible segments can share a level-p node).  Chain sums are
+integers, scaled by the lcm of the entry denominators.  The subtree of each
+top is walked once and yields its optimum for every bottom level q at once;
+only the windows that attain the largest total are turned into segments.
+For JT_INF one packing DP over the support closure, keyed lexicographically,
+gives the value, and reruns of it with the chosen nodes blocked build the
+witness greedily.  The naive exhaustive oracle lives in `reference` and is
+used in tests only; both routes must agree exactly.
 
 Witnesses are deterministic: the attaining family that is first in the
 canonical enumeration order (segment count, then node count, then lex).
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import EnumerationCapError, JamesTreeError
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
@@ -87,53 +91,108 @@ def _chain_sum(sums: dict[Node, Fraction], top: Node, bottom: Node) -> Fraction:
     return sums[bottom] - above
 
 
+def _top_optima(
+    closure: Closure, sums: dict[Node, int], top: Node, space: SpaceSpec
+) -> list[tuple[int, list[Node]]]:
+    """Best |chain sum| of a segment topped at `top`, per bottom level q.
+
+    Entry `q - len(top)` holds, for q up to `closure.max_level`, the largest
+    absolute core sum and every core bottom attaining it (empty when that is
+    0).  A core may end at level q, or above q at a node that can continue
+    through zero-valued fresh nodes (`closure.extendable`).  One walk of the
+    subtree records both per level; a running maximum of the second over the
+    levels above q then serves every q at once.
+    """
+    base = sums[top[:-1]] if top else 0
+    levels = closure.max_level - len(top) + 1
+    # per level d below `top`: best core ending there, and best extendable one
+    exact = [0] * levels
+    exact_ties: list[list[Node]] = [[] for _ in range(levels)]
+    ext = [0] * levels
+    ext_ties: list[list[Node]] = [[] for _ in range(levels)]
+    stack = [top]
+    while stack:
+        v = stack.pop()
+        a = abs(sums[v] - base)
+        d = len(v) - len(top)
+        if a:
+            if a > exact[d]:
+                exact[d], exact_ties[d] = a, [v]
+            elif a == exact[d]:
+                exact_ties[d].append(v)
+            if closure.extendable(v, space):
+                if a > ext[d]:
+                    ext[d], ext_ties[d] = a, [v]
+                elif a == ext[d]:
+                    ext_ties[d].append(v)
+        stack.extend(closure.children[v])
+    optima = []
+    run, run_ties = 0, []  # best extendable core ending above the current level
+    for d in range(levels):
+        best, ties = exact[d], exact_ties[d]
+        if run > best:
+            best, ties = run, run_ties
+        elif run == best and run:
+            ties = ties + run_ties
+        optima.append((best, ties))
+        if ext[d] > run:
+            run, run_ties = ext[d], ext_ties[d]
+        elif ext[d] == run and run:
+            run_ties = run_ties + ext_ties[d]
+    return optima
+
+
 def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormResult:
+    """Norm of a level-aligned space: the best (p, q) window, in integers.
+
+    With `scale` the lcm of the entry denominators, chain sums are integers.
+    Each top at level p >= `space.min_top_level` has its subtree walked once
+    (`_top_optima`); a window's total is the sum of its tops' optima.  Only
+    the windows that attain the largest total are materialized, and of those
+    the family first in canonical order is the witness.
+    """
     closure = Closure(x.support)
-    sums = _prefix_sums(x, closure)
+    scale = lcm(*(v.denominator for _, v in x.entries))
+    scaled = {n: v.numerator * (scale // v.denominator) for n, v in x.entries}
+    sums: dict[Node, int] = {}
+    for node in closure.sorted_nodes:  # lex order puts every parent first
+        sums[node] = (sums[node[:-1]] if node else 0) + scaled.get(node, 0)
+
+    p_min, depth = space.min_top_level, closure.max_level
+    optima: dict[Node, list[tuple[int, list[Node]]]] = {}
+    totals: dict[tuple[int, int], int] = {}
+    for p in range(p_min, depth + 1):
+        row = [0] * (depth - p + 1)
+        for u in closure.by_level[p]:
+            optima[u] = _top_optima(closure, sums, u, space)
+            for d, (best, _) in enumerate(optima[u]):
+                row[d] += best
+        for d, total in enumerate(row):
+            totals[p, p + d] = total
+
+    best_total = max(totals.values(), default=0)
+    if best_total == 0:
+        return NormResult(space, Fraction(0), None, AdmissibleFamily((), space))
     fresh = max_index_used(x.support) + 1
-    p_min = space.min_top_level
-    top_level = closure.max_level
 
-    best_value = Fraction(0)
-    best_family: AdmissibleFamily | None = None
-
-    for q in range(p_min, top_level + 1):
-        for p in range(p_min, q + 1):
-            total = Fraction(0)
-            parts: list[Segment] = []
-            for u in closure.by_level.get(p, ()):
-                best_abs = Fraction(0)
-                arg_bottoms: list[Node] = []
-                for v in closure.descendants_or_self(u):
-                    if len(v) > q:
-                        continue
-                    if len(v) < q and not closure.extendable(v, space):
-                        continue
-                    a = abs(_chain_sum(sums, u, v))
-                    if a > best_abs:
-                        best_abs = a
-                        arg_bottoms = [v]
-                    elif a == best_abs and a > 0:
-                        arg_bottoms.append(v)
-                if best_abs > 0:
-                    total += best_abs
-                    seg = min(
-                        (materialize_core(closure, u, v, q, space, fresh) for v in arg_bottoms),
+    def family(p: int, q: int) -> AdmissibleFamily:
+        parts = []
+        for u in closure.by_level[p]:
+            best, ties = optima[u][q - p]
+            if best:
+                parts.append(
+                    min(
+                        (materialize_core(closure, u, v, q, space, fresh) for v in ties),
                         key=Segment.sort_key,
                     )
-                    parts.append(seg)
-            if total == 0:
-                continue
-            if total > best_value:
-                best_value = total
-                best_family = AdmissibleFamily(tuple(parts), space)
-            elif total == best_value and best_family is not None:
-                fam = AdmissibleFamily(tuple(parts), space)
-                if fam.sort_key() < best_family.sort_key():
-                    best_family = fam
-    if best_family is None:
-        best_family = AdmissibleFamily((), space)
-    return NormResult(space, best_value, None, best_family)
+                )
+        return AdmissibleFamily(tuple(parts), space)
+
+    witness = min(
+        (family(p, q) for (p, q), total in totals.items() if total == best_total),
+        key=AdmissibleFamily.sort_key,
+    )
+    return NormResult(space, Fraction(best_total, scale), None, witness)
 
 
 def _jt_candidates(x: SparseVector, closure: Closure, sums, config: RunConfig):
@@ -236,11 +295,9 @@ def norm(x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) 
 
 def evaluate_family(family: AdmissibleFamily, x: SparseVector) -> Fraction:
     """Norm expression of one family: sum of |segment sums| (L1) or of squares."""
-    total = Fraction(0)
-    for seg in family.segments:
-        s = segment_sum(x, seg)
-        total += abs(s) if family.space.aggregates_l1 else s * s
-    return total
+    sums = [segment_sum(x, seg) for seg in family.segments]
+    terms = [abs(s) for s in sums] if family.space.aggregates_l1 else [s * s for s in sums]
+    return sum(terms[1:], terms[0]) if terms else Fraction(0)
 
 
 def literal_norm_sq_jt(

@@ -350,6 +350,18 @@ def test_out_of_range_flags_exit_2(tmp_path, capsys):
         assert code == 2
         message = json.loads(out)["message"]
         assert message.endswith('invalid int value: "q"'), message
+    # so is a rejected choice, and the choices it names
+    for argv, expected in (
+        (("verify", "--format", "xml"), 'invalid choice: "xml" (choose from "json", "tsv")'),
+        (("verify", "--suite", 'x"y'), 'invalid choice: "x\\"y" (choose from "all", '),
+        (("norm", x, "--segments", "x"), 'invalid choice: "x" (choose from "interval", "literal")'),
+        (("certify", "x", x), 'invalid choice: "x" (choose from "sd2p", "ccw", '),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        error = json.loads(out)
+        assert error["error"] == "schema"
+        assert expected in error["message"], error["message"]
 
 
 def test_huge_exponent_is_a_schema_error(tmp_path, capsys):

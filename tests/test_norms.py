@@ -14,7 +14,7 @@ from jamestree.spaces import (
     project_levels,
     unit_vector,
 )
-from jamestree.trees import AdmissibleFamily, Segment, enumerate_admissible_families, is_admissible
+from jamestree.trees import AdmissibleFamily, Closure, Segment, enumerate_admissible_families, is_admissible
 
 
 def singleton_slice_vector(eps):
@@ -205,3 +205,36 @@ def test_engine_matches_truncated_universe():
             brute = truncated_universe_norm(x, space, branching=2 if space.dyadic else 3, depth=depth)
             engine_value = res.value if res.value is not None else res.value_sq
             assert engine_value == brute, (space.kind, x.entries)
+
+
+def test_aligned_engine_matches_oracle_on_ties():
+    # Entries in {1, -1, 2} on small trees: chains under one top often tie, as
+    # do whole windows, so the witness rests on the canonical tie-break alone.
+    # Dyadic closures with both children of a node present make that node a
+    # bottom that cannot be extended, which the sweep must respect.
+    rng = random.Random(71)
+    top_ties = window_ties = blocked = 0
+    for space in (JH, JH_INF, M_HYP):
+        vectors = [SparseVector(())]
+        for _ in range(70):
+            entries = {
+                random_node(rng, space, 3, 2): Fraction(rng.choice((1, -1, 2)))
+                for _ in range(rng.randint(1, 8))
+            }
+            vectors.append(SparseVector(tuple(entries.items())))
+        for x in vectors:
+            res = norm(x, space)
+            value, witness = naive_norm(x, space)
+            assert (res.value, res.witness) == (value, witness), (space.kind, x.entries)
+            attaining = [
+                f for f in enumerate_admissible_families(x.support, space) if evaluate_family(f, x) == value
+            ]
+            windows = [(f.segments[0].p, f.segments[0].q) for f in attaining]
+            # two attaining families in one window with the same tops differ
+            # only in bottoms that tie under a common top
+            tops = [(w, tuple(s.top for s in f.segments)) for w, f in zip(windows, attaining)]
+            top_ties += len(set(tops)) < len(tops)
+            window_ties += len(set(windows)) > 1
+            closure = Closure(x.support)
+            blocked += any(not closure.extendable(v, space) for v in closure.nodes)
+    assert top_ties > 0 and window_ties > 0 and blocked > 0, (top_ties, window_ties, blocked)
