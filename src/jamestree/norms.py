@@ -1,17 +1,21 @@
 """Exact norm evaluation with attaining witness families.
 
-The optimized engine never enumerates families wholesale.  For the
-level-aligned (L1) spaces the norm is the best (p, q) level window, and a
-window's optimum is the sum, over the level-p nodes, of the largest absolute
-chain sum under each (chains under distinct level-p nodes never conflict, and
-no two admissible segments can share a level-p node).  Chain sums are
-integers, scaled by the lcm of the entry denominators.  The subtree of each
-top is walked once and yields its optimum for every bottom level q at once;
-only the windows that attain the largest total are turned into segments.
-For JT_INF one packing DP over the support closure, keyed lexicographically,
-gives the value, and reruns of it with the chosen nodes blocked build the
-witness greedily.  The naive exhaustive oracle lives in `reference` and is
-used in tests only; both routes must agree exactly.
+The optimized engine never enumerates families wholesale.  Its aligned
+sweep and its JT_INF DP read chain sums one way: `trees.scaled_prefix_sums`
+gives integer root-to-node sums over the lcm `scale` of the entry
+denominators, and a chain's sum is the bottom's sum minus that of the top's
+parent.  For the level-aligned (L1) spaces the norm is the best (p, q) level
+window, and a window's optimum is the sum, over the level-p nodes, of the
+largest absolute chain sum under each (chains under distinct level-p nodes
+never conflict, and no two admissible segments can share a level-p node).
+The subtree of each top is walked once and yields its optimum for every
+bottom level q at once; only the windows that attain the largest total are
+turned into segments.  For JT_INF one packing DP over the support closure,
+keyed lexicographically in integers (norm² times scale², then the negated
+segment and node counts), gives the value, and reruns of it with the chosen
+nodes blocked build the witness greedily.  The naive exhaustive oracle
+lives in `reference` and is used in tests only; both routes must agree
+exactly.
 
 Witnesses are deterministic: the attaining family that is first in the
 canonical enumeration order (segment count, then node count, then lex).
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import EnumerationCapError, JamesTreeError
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
@@ -33,6 +36,7 @@ from .trees import (
     literal_chain_subsets,
     materialize_core,
     max_index_used,
+    scaled_prefix_sums,
     segment_sum,
 )
 
@@ -76,19 +80,6 @@ class NormResult:
         if lhs < 0:
             return False
         return lhs * lhs > self.value_sq
-
-
-def _prefix_sums(x: SparseVector, closure: Closure) -> dict[Node, Fraction]:
-    sums: dict[Node, Fraction] = {}
-    for node in sorted(closure.nodes, key=len):
-        parent_sum = sums[node[:-1]] if node != ROOT else Fraction(0)
-        sums[node] = parent_sum + x.value_at(node)
-    return sums
-
-
-def _chain_sum(sums: dict[Node, Fraction], top: Node, bottom: Node) -> Fraction:
-    above = sums[top[:-1]] if top != ROOT else Fraction(0)
-    return sums[bottom] - above
 
 
 def _top_optima(
@@ -145,19 +136,14 @@ def _top_optima(
 def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormResult:
     """Norm of a level-aligned space: the best (p, q) window, in integers.
 
-    With `scale` the lcm of the entry denominators, chain sums are integers.
-    Each top at level p >= `space.min_top_level` has its subtree walked once
+    Chain sums are integers over `scale` (`scaled_prefix_sums`).  Each top
+    at level p >= `space.min_top_level` has its subtree walked once
     (`_top_optima`); a window's total is the sum of its tops' optima.  Only
     the windows that attain the largest total are materialized, and of those
     the family first in canonical order is the witness.
     """
     closure = Closure(x.support)
-    scale = lcm(*(v.denominator for _, v in x.entries))
-    scaled = {n: v.numerator * (scale // v.denominator) for n, v in x.entries}
-    sums: dict[Node, int] = {}
-    for node in closure.sorted_nodes:  # lex order puts every parent first
-        sums[node] = (sums[node[:-1]] if node else 0) + scaled.get(node, 0)
-
+    sums, scale = scaled_prefix_sums(x, closure)
     p_min, depth = space.min_top_level, closure.max_level
     optima: dict[Node, list[tuple[int, list[Node]]]] = {}
     totals: dict[tuple[int, int], int] = {}
@@ -197,10 +183,11 @@ def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormR
 
 def _jt_candidates(x: SparseVector, closure: Closure, sums, config: RunConfig):
     """Support-meeting closure chains with nonzero sum, in canonical order."""
-    cands: list[tuple[Segment, Fraction]] = []
+    cands: list[tuple[Segment, int]] = []
     for top in closure.sorted_nodes:
+        above = sums[top[:-1]] if top else 0
         for bottom in closure.descendants_or_self(top):
-            s = _chain_sum(sums, top, bottom)
+            s = sums[bottom] - above
             if s != 0:
                 cands.append((Segment(top, bottom), s))
                 if len(cands) > config.candidate_cap:
@@ -209,7 +196,7 @@ def _jt_candidates(x: SparseVector, closure: Closure, sums, config: RunConfig):
     return cands
 
 
-_EMPTY_KEY = (Fraction(0), 0, 0)  # (sum of squares, -segment count, -node count)
+_EMPTY_KEY = (0, 0, 0)  # (scale² · sum of squares, -segment count, -node count)
 
 
 def _plus(a: tuple, b: tuple) -> tuple:
@@ -221,7 +208,8 @@ def _jt_value_sq(closure: Closure, sums, blocked: frozenset = frozenset()) -> tu
 
     A node heads either no chain, and its children's subtrees add up, or one
     nonzero-sum chain, beside the subtrees hanging off it.  Every key part
-    adds over disjoint subtrees, so the lex-max composes.  Part 0 is norm².
+    adds over disjoint subtrees, so the lex-max composes.  Part 0 is norm²
+    times scale², for `sums` and `scale` from `scaled_prefix_sums`.
     """
     children = closure.children
     dp: dict[Node, tuple] = {}
@@ -232,10 +220,11 @@ def _jt_value_sq(closure: Closure, sums, blocked: frozenset = frozenset()) -> tu
             rest = _plus(rest, dp[c])
         below[node] = best = rest
         if node not in blocked:
+            above = sums[node[:-1]] if node else 0
             stack = [(node, rest)]  # (bottom, key hanging off node..bottom)
             while stack:
                 bottom, hang = stack.pop()
-                s = _chain_sum(sums, node, bottom)
+                s = sums[bottom] - above
                 if s:
                     best = max(best, _plus(hang, (s * s, -1, len(node) - len(bottom) - 1)))
                 for c in children[bottom]:
@@ -286,11 +275,11 @@ def norm(x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) 
         return _aligned_norm(x, space, config)
 
     closure = Closure(x.support)
-    sums = _prefix_sums(x, closure)
+    sums, scale = scaled_prefix_sums(x, closure)
     goal = _jt_value_sq(closure, sums)
     cands = _jt_candidates(x, closure, sums, config)
     witness = _jt_witness(goal, closure, sums, cands)
-    return NormResult(space, None, goal[0], witness)
+    return NormResult(space, None, Fraction(goal[0], scale * scale), witness)
 
 
 def evaluate_family(family: AdmissibleFamily, x: SparseVector) -> Fraction:
@@ -319,52 +308,31 @@ def literal_norm_sq_jt(
     for i in range(len(cands) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + cands[i][1]
 
+    # One search for the value and the minimal attaining selection: the
+    # prune is strict so that selections tying the best value survive.
     best = Fraction(0)
+    best_key: tuple = (0, 0, ())  # (count, node count, chains) of the selection
+    sel: list[tuple[Node, ...]] = []
     visited = 0
 
-    def rec(start: int, acc: Fraction, used: frozenset) -> None:
-        nonlocal best, visited
-        if acc > best:
-            best = acc
+    def rec(start: int, acc: Fraction, used: frozenset, size: int) -> None:
+        nonlocal best, best_key, visited
+        if acc >= best:
+            key = (len(sel), size, tuple(sel))
+            if acc > best or key < best_key:
+                best, best_key = acc, key
         for j in range(start, len(cands)):
-            if acc + suffix[j] <= best:
+            if acc + suffix[j] < best:
                 return
-            nodes = frozenset(cands[j][0])
+            chain, sq = cands[j]
+            nodes = frozenset(chain)
             if not (nodes & used):
                 visited += 1
                 if visited > config.family_cap:
                     raise EnumerationCapError("literal enumeration exceeded family cap")
-                rec(j + 1, acc + cands[j][1], used | nodes)
+                sel.append(chain)
+                rec(j + 1, acc + sq, used | nodes, size + len(chain))
+                sel.pop()
 
-    rec(0, Fraction(0), frozenset())
-
-    # Minimal attaining collection, by (count, node count, lex).
-    best_key = None
-    best_sel: tuple[tuple[Node, ...], ...] = ()
-    for count_limit in range(1, len(cands) + 1):
-        found: list[tuple] = []
-
-        def rec2(start: int, acc: Fraction, used: frozenset, sel: list[int]) -> None:
-            if acc == best:
-                found.append(tuple(cands[j][0] for j in sel))
-                return
-            if len(sel) == count_limit:
-                return
-            for j in range(start, len(cands)):
-                if acc + suffix[j] < best:
-                    return
-                nodes = frozenset(cands[j][0])
-                if not (nodes & used):
-                    sel.append(j)
-                    rec2(j + 1, acc + cands[j][1], used | nodes, sel)
-                    sel.pop()
-
-        rec2(0, Fraction(0), frozenset(), [])
-        if found:
-            for sel in found:
-                key = (len(sel), sum(len(c) for c in sel), sel)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_sel = sel
-            break
-    return best, best_sel
+    rec(0, Fraction(0), frozenset(), 0)
+    return best, best_key[2]

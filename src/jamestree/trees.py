@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -203,6 +204,22 @@ class Closure:
 
     def chain_meets_support(self, top: Node, bottom: Node) -> bool:
         return any(bottom[:k] in self.support for k in range(len(top), len(bottom) + 1))
+
+
+def scaled_prefix_sums(x: SparseVector, closure: Closure) -> tuple[dict[Node, int], int]:
+    """Root-to-node sums of x over the closure, in integers, and their scale.
+
+    With `scale` the lcm of the entry denominators, every sum is an integer
+    multiple of 1/scale; `sums[n]` holds that multiple.  The chain sum of
+    top..bottom is `(sums[bottom] - sums[top[:-1]]) / scale`, with 0 in place
+    of the parent's sum when top is the root.
+    """
+    scale = lcm(*(v.denominator for _, v in x.entries))
+    scaled = {n: v.numerator * (scale // v.denominator) for n, v in x.entries}
+    sums: dict[Node, int] = {}
+    for node in closure.sorted_nodes:  # lex order puts every parent first
+        sums[node] = (sums[node[:-1]] if node else 0) + scaled.get(node, 0)
+    return sums, scale
 
 
 def materialize_core(

@@ -13,7 +13,7 @@ import pytest
 
 from jamestree import lp, trees, verify
 from jamestree.config import DEFAULT_CONFIG
-from jamestree.spaces import JH, SparseVector
+from jamestree.spaces import JH, JT_INF, SparseVector
 
 CONTRACT = (
     "norms._aligned_norm",
@@ -71,17 +71,24 @@ def test_simplex_max_takes_c_and_rows():
     assert sum(x) == Fraction(1, 2)
 
 
-def test_norm_calls_the_aligned_sweep_as_a_module_global(monkeypatch):
+@pytest.mark.parametrize(
+    "space, internals",
+    [(JH, ("_aligned_norm",)), (JT_INF, ("_jt_value_sq", "_jt_candidates", "_jt_witness"))],
+    ids=["JH", "JT_INF"],
+)
+def test_norm_calls_its_internals_as_module_globals(monkeypatch, space, internals):
+    # the bench wraps these on `norms`; one bound locally would trace no spans
     from jamestree import norms
 
-    calls = []
-    original = norms._aligned_norm
+    calls = dict.fromkeys(internals, 0)
+    for attr in internals:
 
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
+        def spy(*args, attr=attr, original=getattr(norms, attr)):
+            calls[attr] += 1
+            return original(*args)
 
-    monkeypatch.setattr(norms, "_aligned_norm", spy)
+        monkeypatch.setattr(norms, attr, spy)
     x = SparseVector((((0,), Fraction(1)),))
-    assert norms.norm(x, JH).value == 1
-    assert len(calls) == 1
+    assert norms.norm(x, space).eq(Fraction(1))
+    # norm calls each once; the JT DP also reruns once per witness probe
+    assert all(n == 1 or (attr == "_jt_value_sq" and n > 1) for attr, n in calls.items()), calls

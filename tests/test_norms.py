@@ -14,7 +14,14 @@ from jamestree.spaces import (
     project_levels,
     unit_vector,
 )
-from jamestree.trees import AdmissibleFamily, Closure, Segment, enumerate_admissible_families, is_admissible
+from jamestree.trees import (
+    AdmissibleFamily,
+    Closure,
+    Segment,
+    enumerate_admissible_families,
+    is_admissible,
+    literal_chain_subsets,
+)
 
 
 def singleton_slice_vector(eps):
@@ -107,6 +114,11 @@ def test_engine_matches_oracle_including_witness_key():
         keys = [f.sort_key()[:2] for f in families if evaluate_family(f, x) == value]
         ties += keys.count(min(keys)) > 1
     assert ties > 0
+    # Large coprime denominators, and a tie: the chain from the root may take
+    # either child, the other child and both grandchildren stay singletons.
+    a, b, c = Fraction(1, 10007), Fraction(2, 9), Fraction(-3, 65537)
+    x = SparseVector((((), a), ((0,), b), ((0, 0), c), ((1,), b), ((1, 0), c)))
+    assert _assert_engine_matches_oracle(x, JT_INF) == (a + b) ** 2 + b * b + 2 * c * c
 
 
 def test_naive_norm_is_exact_first_maximum_of_the_stream():
@@ -171,19 +183,40 @@ def test_hyperplane_restriction_matches_jh_inf():
         assert norm(x, JH_INF).value == norm(x, M_HYP).value
 
 
+def _disjoint_selections(chains):
+    """Every pairwise-disjoint selection of `chains`, each in list order."""
+    out = [()]
+    for chain in chains:
+        out += [sel + (chain,) for sel in out if not any(set(chain) & set(c) for c in sel)]
+    return out
+
+
+def _selection_key(sel):
+    return (len(sel), sum(len(c) for c in sel), sel)
+
+
 def test_literal_variant():
     # sign cancellations can be skipped, so literal >= interval
     rng = random.Random(41)
+    vectors = [random_vector(rng, JT_INF, max_level=3, max_nodes=4) for _ in range(30)]
+    # entries in {1, -1, 2}: attaining selections often tie in count and nodes
     for _ in range(30):
-        x = random_vector(rng, JT_INF, max_level=3, max_nodes=4)
+        entries = {random_node(rng, JT_INF, 3, 2): Fraction(rng.choice((1, -1, 2))) for _ in range(rng.randint(1, 5))}
+        vectors.append(SparseVector(tuple(entries.items())))
+    ties = 0
+    for x in vectors:
         literal_sq, witness = literal_norm_sq_jt(x)
         assert literal_sq >= norm(x, JT_INF).value_sq
         if not x.is_zero:
-            total = Fraction(0)
-            for chain in witness:
-                s = sum((x.value_at(n) for n in chain), Fraction(0))
-                total += s * s
-            assert total == literal_sq
+            # the witness attains the value with the least (count, nodes, lex) key
+            attaining = [
+                _selection_key(sel)
+                for sel in _disjoint_selections(literal_chain_subsets(x.support))
+                if sum(sum(x.value_at(n) for n in c) ** 2 for c in sel) == literal_sq
+            ]
+            assert _selection_key(witness) == min(attaining), x.entries
+            ties += sum(k[:2] == _selection_key(witness)[:2] for k in attaining) > 1
+    assert ties > 0
     # a gapped chain beats every interval family here
     x = SparseVector((((), Fraction(1)), ((1,), Fraction(-1)), ((1, 1), Fraction(1))))
     assert norm(x, JT_INF).value_sq == 3  # three disjoint singletons
