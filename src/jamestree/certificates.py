@@ -23,7 +23,7 @@ from .functionals import GENERAL, SIGNED_FAMILY, DualFunctional, evaluate, valid
 from .norms import norm
 from .slices import SliceSpec, slice_members
 from .spaces import ROOT, M_HYP, Node, SparseVector, SpaceKind, SpaceSpec, unit_vector
-from .surds import sqrt_bounds
+from .surds import exact_sqrt, sqrt_sum_sign
 from .trees import Segment, max_index_used
 
 
@@ -363,46 +363,16 @@ class OctahedralityReport:
         return float(num_sq) ** 0.5 / (float(lam) + float(den_sq) ** 0.5)
 
 
-def _ratio_pair_le(a: tuple, b: tuple) -> bool:
-    """Exact a <= b for ratios sqrt(A)/(u + sqrt(B)) given as (A, u, B)."""
+def _ratio_lt(a: tuple, b: tuple) -> bool:
+    """Exact a < b for ratios sqrt(A)/(u + sqrt(B)) given as (A, u, B)."""
     a_num, a_u, a_b = a
     b_num, b_u, b_b = b
-    # a <= b  <=>  A_a (u_b + sqrt(B_b))^2 <= A_b (u_a + sqrt(B_a))^2
+    # a < b  <=>  A_a (u_b + sqrt(B_b))^2 < A_b (u_a + sqrt(B_a))^2
     p = a_num * (b_u * b_u + b_b)
     s = 2 * a_num * b_u  # coefficient of sqrt(B_b)
     q = b_num * (a_u * a_u + a_b)
     t = 2 * b_num * a_u  # coefficient of sqrt(B_a)
-    return _sqrt_sum_le(p, s, b_b, q, t, a_b)
-
-
-def _sqrt_sum_le(p, s, B_s, q, t, B_t) -> bool:
-    """Exact test p + s*sqrt(B_s) <= q + t*sqrt(B_t), s, t >= 0."""
-    if _sqrt_sum_eq(p, s, B_s, q, t, B_t):
-        return True
-    scale = 10**9
-    while True:
-        ls, hs = sqrt_bounds(B_s, scale)
-        lt, ht = sqrt_bounds(B_t, scale)
-        if p + s * hs <= q + t * lt:
-            return True
-        if p + s * ls > q + t * ht:
-            return False
-        scale *= 10**3
-
-
-def _sqrt_sum_eq(p, s, B_s, q, t, B_t) -> bool:
-    if s == 0 and t == 0:
-        return p == q
-    if s == 0:  # p - q = t*sqrt(B_t)
-        diff = p - q
-        return diff >= 0 and diff * diff == t * t * B_t
-    if t == 0:  # q - p = s*sqrt(B_s)
-        diff = q - p
-        return diff >= 0 and diff * diff == s * s * B_s
-    # p - q = t*sqrt(B_t) - s*sqrt(B_s): same sign as t²B_t - s²B_s, then square twice
-    same_sign = (p - q) * (t * t * B_t - s * s * B_s) >= 0
-    lhs = t * t * B_t + s * s * B_s - (p - q) * (p - q)
-    return same_sign and lhs >= 0 and lhs * lhs == 4 * t * t * s * s * B_t * B_s
+    return sqrt_sum_sign(q - p, t, a_b, -s, b_b) > 0
 
 
 def octahedrality_deficit(
@@ -429,7 +399,6 @@ def octahedrality_deficit(
         if lam == 0 and all(c == 0 for c in coeffs):
             raise PreconditionError("mesh must not contain the all-zero point")
 
-    best_l1: Fraction | None = None
     best_parts: tuple | None = None
     argmin = mesh[0]
     for lam, coeffs in mesh:
@@ -438,33 +407,26 @@ def octahedrality_deficit(
             if c != 0:
                 y = y + vec.scale(c)
         v = candidate.scale(lam) + y
-        num = norm(v, space, config)
-        den = norm(y, space, config)
-        if space.aggregates_l1:
-            denominator = abs(lam) + den.value
-            if denominator == 0:
-                continue
-            ratio = num.value / denominator
-            if best_l1 is None or ratio < best_l1:
-                best_l1 = ratio
-                argmin = (lam, tuple(coeffs))
-        else:
-            if lam == 0 and den.value_sq == 0:
-                continue
-            parts = (num.value_sq, abs(lam), den.value_sq)
-            if best_parts is None or (
-                _ratio_pair_le(parts, best_parts) and not _ratio_pair_le(best_parts, parts)
-            ):
-                best_parts = parts
-                argmin = (lam, tuple(coeffs))
-    if best_l1 is None and best_parts is None:
+        den_sq = norm(y, space, config).squared
+        if lam == 0 and den_sq == 0:
+            continue
+        parts = (norm(v, space, config).squared, abs(lam), den_sq)
+        if best_parts is None or _ratio_lt(parts, best_parts):
+            best_parts = parts
+            argmin = (lam, tuple(coeffs))
+    if best_parts is None:
         raise PreconditionError("every mesh point was degenerate")
+    deficit = None
+    if space.aggregates_l1:  # the L1 ratio is rational: report it, not its parts
+        num_sq, lam, den_sq = best_parts
+        deficit = exact_sqrt(num_sq) / (lam + exact_sqrt(den_sq))
+        best_parts = None
     return OctahedralityReport(
         space=space.kind,
         basis=tuple(basis),
         candidate=candidate,
         mesh=tuple((l, tuple(c)) for l, c in mesh),
-        deficit=best_l1,
+        deficit=deficit,
         deficit_parts=best_parts,
         argmin=argmin,
     )

@@ -41,7 +41,6 @@ from .functionals import DualFunctional, evaluate
 from .lp import LPState, simplex_max
 from .norms import NormResult, norm
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
-from .surds import sqrt_bounds
 from .trees import AdmissibleFamily, Closure, is_admissible, segment_sum
 
 
@@ -85,12 +84,6 @@ def _variables(g: DualFunctional, space: SpaceSpec, cap: int) -> tuple[Node, ...
     return tuple(nodes)
 
 
-def _rho_below_inv_sqrt(value_sq: Fraction, scale: int) -> Fraction:
-    """Rational rho with rho^2 * value_sq <= 1; for value_sq > 1 also
-    rho * value_sq > 1 (so molecule cuts actually cut the iterate)."""
-    return sqrt_bounds(value_sq, scale)[0] / value_sq
-
-
 # Molecule cut weights are rounded from floats to at most 12 digits (see
 # `_molecule_cut_weights`).  A JT_INF gap finer than 10^-12 of the box bound
 # sum |g_t| is beyond them: the exact fallback cuts then compound in bit size
@@ -98,14 +91,14 @@ def _rho_below_inv_sqrt(value_sq: Fraction, scale: int) -> Fraction:
 _JT_RESOLUTION = Fraction(1, 10**12)
 
 
-def _molecule_cut_weights(sums: list[Fraction], value_sq: Fraction) -> list[Fraction]:
+def _molecule_cut_weights(sums: list[Fraction], res: NormResult) -> list[Fraction]:
     """Valid molecule weights (sum of squares <= 1) that cut the iterate.
 
     Float-guided integer weights m_i / M keep LP coefficients small, so
     vertex bit-size does not compound across rounds; the cut inequality
     itself is validated exactly before use.
     """
-    target = float(value_sq) ** 0.5
+    target = float(res.value_sq) ** 0.5
     scale = 10**6
     for _ in range(4):
         ints = [round(scale * float(sig) / target) for sig in sums]
@@ -118,7 +111,7 @@ def _molecule_cut_weights(sums: list[Fraction], value_sq: Fraction) -> list[Frac
             if sum((w * sig for w, sig in zip(weights, sums)), Fraction(0)) > 1:
                 return weights
         scale *= 100
-    rho = _rho_below_inv_sqrt(value_sq, scale=10**12)  # exact fallback
+    rho = res.inverse_below(10**12)  # exact fallback; rho * value_sq > 1 when value_sq > 1
     return [sig * rho for sig in sums]
 
 
@@ -146,7 +139,7 @@ def _cut_from_witness(
             if s != 0:
                 sums.append(s)
                 kept.append(seg)
-        cut_weights = _molecule_cut_weights(sums, res.value_sq)
+        cut_weights = _molecule_cut_weights(sums, res)
         total_sq = sum((w * w for w in cut_weights), Fraction(0))
         if total_sq > 1:
             raise InvalidFunctionalError("internal error: unsound molecule cut")
@@ -201,11 +194,7 @@ def dual_norm(
             witness = SparseVector(((v, Fraction(1 if c > 0 else -1)),))
     seed = SparseVector(tuple((v, c) for v, c in zip(variables, objective) if c != 0))
     if not seed.is_zero:  # coefficient-proportional direction, rescaled exactly
-        seed_norm = norm(seed, space, config)
-        if space.aggregates_l1:
-            scaled_seed = seed.scale(Fraction(1) / seed_norm.value)
-        else:
-            scaled_seed = seed.scale(_rho_below_inv_sqrt(seed_norm.value_sq, scale=10**9))
+        scaled_seed = seed.scale(norm(seed, space, config).inverse_below(10**9))
         cand = evaluate(g, scaled_seed)
         if cand > lower:
             lower = cand
@@ -227,17 +216,10 @@ def dual_norm(
             lower = upper
             witness = x_hat
             break
-        # feasible rescaling of the iterate
-        if space.aggregates_l1:
-            cand = upper / res.value
-            scaled = x_hat.scale(Fraction(1) / res.value)
-        else:
-            rho = _rho_below_inv_sqrt(res.value_sq, scale=10**9)
-            cand = upper * rho
-            scaled = x_hat.scale(rho)
-        if cand > lower:
-            lower = cand
-            witness = scaled
+        rho = res.inverse_below(10**9)  # feasible rescaling of the iterate
+        if upper * rho > lower:
+            lower = upper * rho
+            witness = x_hat.scale(rho)
         if not space.aggregates_l1 and upper - lower <= tol:
             break
         weighted, family = _cut_from_witness(res, x_hat, space)

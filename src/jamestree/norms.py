@@ -28,7 +28,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import EnumerationCapError, JamesTreeError
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
-from .surds import float_or_none
+from .surds import float_or_none, sqrt_bounds, sqrt_sum_sign
 from .trees import (
     AdmissibleFamily,
     Closure,
@@ -60,26 +60,29 @@ class NormResult:
             return float_or_none(self.value)
         return float_or_none(self.value_sq, root=True)
 
-    # Exact comparisons against rational bounds (squares for JT_INF).
-    def le(self, bound: Fraction) -> bool:
+    @property
+    def squared(self) -> Fraction:
+        """The norm squared, in every space."""
+        return self.value * self.value if self.value is not None else self.value_sq
+
+    def inverse_below(self, scale: int) -> Fraction:
+        """A rational rho <= 1/norm: exactly 1/value for the L1 spaces; for
+        JT_INF sqrt(value_sq) bracketed at 1/(d*scale) from below, divided by
+        value_sq.  The scale shapes the rescaled vectors, so callers fix it."""
         if self.value is not None:
-            return self.value <= bound
-        return bound >= 0 and self.value_sq <= bound * bound
+            return 1 / self.value
+        return sqrt_bounds(self.value_sq, scale)[0] / self.value_sq
+
+    # Exact comparisons against rational bounds, on the square of the norm.
+    def le(self, bound: Fraction) -> bool:
+        return sqrt_sum_sign(bound, -1, self.squared) >= 0
 
     def eq(self, bound: Fraction) -> bool:
-        if self.value is not None:
-            return self.value == bound
-        return bound >= 0 and self.value_sq == bound * bound
+        return sqrt_sum_sign(bound, -1, self.squared) == 0
 
     def exceeds_threshold(self, evaluation: Fraction, alpha: Fraction) -> bool:
         """True iff evaluation > norm - alpha, decided exactly."""
-        if self.value is not None:
-            return evaluation > self.value - alpha
-        # evaluation + alpha > sqrt(value_sq)
-        lhs = evaluation + alpha
-        if lhs < 0:
-            return False
-        return lhs * lhs > self.value_sq
+        return sqrt_sum_sign(evaluation + alpha, -1, self.squared) > 0
 
 
 def _top_optima(

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 from .functionals import SIGNED_FAMILY, DualFunctional
 from .spaces import Node, SparseVector, SpaceKind, SpaceSpec
-from .surds import sqrt_bounds
 from .trees import Segment
 
 
@@ -86,8 +85,4 @@ def scaled_into_ball(
     x = random_vector(rng, space, max_level, max_nodes, allow_root=allow_root)
     if x.is_zero:
         return x
-    res = norm(x, space)
-    if res.value is not None:
-        return x.scale(bound / res.value)
-    inv_sqrt_lower = sqrt_bounds(res.value_sq, 10**6)[0] / res.value_sq
-    return x.scale(bound * inv_sqrt_lower)
+    return x.scale(bound * norm(x, space).inverse_below(10**6))

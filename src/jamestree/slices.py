@@ -23,7 +23,7 @@ from .errors import EnumerationCapError, PreconditionError, ScenarioConstraintEr
 from .functionals import MOLECULE, SIGNED_FAMILY, DualFunctional, best_molecule
 from .norms import NormResult, norm
 from .spaces import SparseVector, SpaceKind, SpaceSpec
-from .surds import Surd, sqrt_bounds
+from .surds import Surd, sqrt_bounds, sqrt_sum_sign
 from .trees import enumerate_admissible_families, segment_sum
 
 
@@ -90,8 +90,8 @@ def _molecule_members(
         fit = best_molecule(family.segments, spec.x)
         if fit.value_sq == 0:
             continue
-        # the best molecule attains sqrt(value_sq); exact membership on squares
-        if _sqrt_gt_threshold(fit.value_sq, norm_res, spec.alpha):
+        # the best molecule attains sqrt(value_sq) > ||x|| - alpha, decided exactly
+        if sqrt_sum_sign(spec.alpha, 1, fit.value_sq, -1, norm_res.squared) > 0:
             exact = fit.normalized_exactly()
             if exact is not None:
                 add(
@@ -121,21 +121,6 @@ def _molecule_members(
             if norm_res.exceeds_threshold(val, spec.alpha):
                 add((c, seg) for c, seg in zip(coeffs, family.segments) if c != 0)
     return members
-
-
-def _sqrt_gt_threshold(value_sq: Fraction, norm_res: NormResult, alpha: Fraction) -> bool:
-    """sqrt(value_sq) > ||x|| - alpha, decided exactly on squares."""
-    # ||x|| - alpha <= 0 makes every nonnegative value a member
-    if norm_res.le(alpha):
-        return True
-    # both sides positive: square both
-    # sqrt(value_sq) > sqrt(norm_sq) - alpha  <=>  value_sq > norm_sq - 2 alpha sqrt(norm_sq) + alpha^2
-    # rearrange to avoid the root: sqrt(norm_sq) > (norm_sq + alpha^2 - value_sq) / (2 alpha)
-    norm_sq = norm_res.value_sq
-    rhs = (norm_sq + alpha * alpha - value_sq) / (2 * alpha)
-    if rhs < 0:
-        return True
-    return norm_sq > rhs * rhs
 
 
 def _threshold_value_bound(norm_res: NormResult, alpha: Fraction) -> Fraction:

@@ -1,8 +1,12 @@
-"""Exact values of the form a + b*sqrt(2) + c*sqrt(delta).
+"""Exact square-root arithmetic.
 
-Comparisons go through rational interval enclosures with outward rounding;
-the default width is 10^-12 and is halved under refinement until the
-comparison resolves or symbolic equality is established.
+`sqrt_sum_sign` decides the sign of a + b*sqrt(B) + c*sqrt(C) exactly, by
+comparing signs first and squaring only where they differ; every norm bound,
+slice threshold and octahedrality ratio is decided through it.  `Surd`
+values a + b*sqrt(2) + c*sqrt(delta) compare (`surd_le`) through rational
+interval enclosures with outward rounding; the default width is 10^-12 and
+is refined until the comparison resolves or symbolic equality is
+established.
 """
 
 from __future__ import annotations
@@ -59,6 +63,37 @@ def sqrt_bracket(value: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     if lo * lo == value:
         return lo, lo
     return lo, hi
+
+
+def _sign(value) -> int:
+    n = value.numerator  # ints and Fractions alike; cheaper than comparing a Fraction
+    return (n > 0) - (n < 0)
+
+
+def sqrt_sum_sign(a, b=0, B=0, c=0, C=0) -> int:
+    """Exact sign (-1, 0 or 1) of a + b*sqrt(B) + c*sqrt(C), for rationals
+    a, b, c and radicands B, C >= 0.
+
+    No enclosure is needed.  Terms of one sign add up; where two terms
+    differ in sign, the one with the larger square wins.  So the sign s of
+    X + Y, for X = b*sqrt(B) and Y = c*sqrt(C), comes from X^2 and Y^2;
+    where a has the other sign, X + Y wins iff (X + Y)^2 - a^2 =
+    (X^2 + Y^2 - a^2) + 2XY is positive, a sum of the same two-term form.
+    """
+    if _sign(B) < 0 or _sign(C) < 0:
+        raise ValueError("negative radicand")
+    sx = _sign(b) if B else 0
+    sy = _sign(c) if C else 0
+    x2 = b * b * B if sx else 0
+    y2 = c * c * C if sy else 0
+    s = (sx or sy) if sx * sy >= 0 else sx * _sign(x2 - y2)  # sign of X + Y
+    sa = _sign(a)
+    if sa * s >= 0:
+        return sa or s
+    p = x2 + y2 - a * a
+    sp, sxy = _sign(p), sx * sy
+    wins = (sp or sxy) if sp * sxy >= 0 else sp * _sign(p * p - 4 * x2 * y2)
+    return s * wins
 
 
 def exact_sqrt(value: Fraction) -> Fraction | None:

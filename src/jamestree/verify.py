@@ -48,7 +48,7 @@ from .spaces import (
     project_levels,
     unit_vector,
 )
-from .surds import surd_le
+from .surds import sqrt_sum_sign, surd_le
 from .trees import Segment, segments_disjoint
 
 
@@ -443,10 +443,9 @@ def check_octahedrality(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
 # --- criterion 10: structural invariants ---------------------------------------
 
 def _triangle_ok(rx, ry, rxy) -> bool:
-    if rx.value is not None:
-        return rxy.value <= rx.value + ry.value
-    diff = rxy.value_sq - rx.value_sq - ry.value_sq
-    return diff <= 0 or diff * diff <= 4 * rx.value_sq * ry.value_sq
+    # ||x + y|| <= ||x|| + ||y||  <=>  X + Y - Z + 2 sqrt(XY) >= 0 on squares
+    x2, y2 = rx.squared, ry.squared
+    return sqrt_sum_sign(x2 + y2 - rxy.squared, 2, x2 * y2) >= 0
 
 
 def check_structural(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
@@ -463,15 +462,11 @@ def check_structural(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
         rx, ry = norm(x, space, config), norm(y, space, config)
         rxy = norm(x + y, space, config)
         rqx = norm(x.scale(scalar), space, config)
-        if rx.value is not None:
-            if rqx.value != abs(scalar) * rx.value:
-                problems.append(f"homogeneity failed ({space.kind.value})")
-        elif rqx.value_sq != scalar * scalar * rx.value_sq:
+        if rqx.squared != scalar * scalar * rx.squared:
             problems.append(f"homogeneity failed ({space.kind.value})")
         if not _triangle_ok(rx, ry, rxy):
             problems.append(f"triangle inequality failed ({space.kind.value})")
-        zero_norm = rx.value == 0 if rx.value is not None else rx.value_sq == 0
-        if zero_norm != x.is_zero:
+        if (rx.squared == 0) != x.is_zero:
             problems.append(f"norm-zero iff zero failed ({space.kind.value})")
 
     # monotone level projections
@@ -481,10 +476,7 @@ def check_structural(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
         full = norm(x, space, config)
         for lev in range(0, max(x.max_level, 0) + 1):
             part = norm(project_levels(x, lev), space, config)
-            if full.value is not None:
-                if part.value > full.value:
-                    problems.append(f"projection grew the norm ({space.kind.value})")
-            elif part.value_sq > full.value_sq:
+            if part.squared > full.squared:
                 problems.append(f"projection grew the norm ({space.kind.value})")
 
     # hyperplane restriction equivalence: root-free vectors

@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 from jamestree.certificates import (
-    _sqrt_sum_le,
     extend_within_ball,
     fresh_direction,
     l1_basis_check,
@@ -149,6 +148,24 @@ def test_octahedrality_jt_exact_parts():
     assert abs(report.float_value - 2**0.5 / 2) < 1e-12
 
 
+def test_octahedrality_ties_keep_the_first_point_in_every_space():
+    basis, candidate = (unit_vector((1,)),), unit_vector((2,))
+    mesh = (
+        (Fraction(1), (Fraction(1, 2),)),
+        (Fraction(2), (Fraction(2),)),
+        (Fraction(1), (Fraction(1),)),
+    )
+    # JT_INF: sqrt(8)/(2 + 2) and sqrt(2)/(1 + 1) tie at sqrt(2)/2 with
+    # different parts, below sqrt(5/4)/(1 + 1/2)
+    jt = octahedrality_deficit(JT_INF, basis, candidate, mesh)
+    assert jt.argmin == (Fraction(2), (Fraction(2),))
+    assert jt.deficit is None and jt.deficit_parts == (8, 2, 4)
+    # JH_INF: |l| + |c| over |l| + |c| ties at 1 on every point
+    jh = octahedrality_deficit(JH_INF, basis, candidate, mesh)
+    assert jh.argmin == (Fraction(1), (Fraction(1, 2),))
+    assert jh.deficit == 1 and jh.deficit_parts is None
+
+
 def test_octahedrality_rejects_zero_point():
     with pytest.raises(PreconditionError):
         octahedrality_deficit(JH, (unit_vector(()),), unit_vector((0,)), ((Fraction(0), (Fraction(0),)),))
@@ -179,10 +196,3 @@ def test_l1_basis_check_examples():
     assert l1_basis_check(M_HYP, (Fraction(-7, 3),)) == (Fraction(7, 3), True)
     with pytest.raises(SpaceMismatchError):
         l1_basis_check(JH, (Fraction(1),))
-
-
-def test_sqrt_sum_le_checks_sign_before_squaring():
-    # p + s*sqrt(B_s) <= q + t*sqrt(B_t) with both roots present
-    assert not _sqrt_sum_le(2, 1, 9, 0, 1, 1)  # 5 <= 1
-    assert _sqrt_sum_le(1, 1, 4, 0, 1, 9)  # 3 <= 3
-    assert _sqrt_sum_le(0, 1, 9, 2, 1, 1)  # 3 <= 3

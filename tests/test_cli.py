@@ -320,6 +320,29 @@ def test_config_file_overrides(tmp_path, capsys):
     assert json.loads(out)["error"] == "schema"
 
 
+def test_candidate_cap_from_config_exits_2(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "jt.json",
+        {
+            "space": "JT_INF",
+            "entries": [
+                {"node": [], "value": "1"},
+                {"node": [0], "value": "1"},
+                {"node": [0, 1], "value": "-1"},
+                {"node": [1], "value": "2"},
+            ],
+        },
+    )
+    code, _ = run_cli(capsys, "norm", path, "--config", write(tmp_path, "ok.json", {"candidate_cap": 7}))
+    assert code == 0
+    code = main(["norm", path, "--config", write(tmp_path, "cap.json", {"candidate_cap": 6})])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == "EnumerationCapError"
+    assert "Traceback" not in captured.err
+
+
 def test_out_of_range_flags_exit_2(tmp_path, capsys):
     x = write(tmp_path, "x.json", SEVEN_NODE_UNIT)
     g = write(

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
-from jamestree.norms import evaluate_family, literal_norm_sq_jt, norm
+import pytest
+
+from jamestree.config import RunConfig
+from jamestree.errors import EnumerationCapError
+from jamestree.norms import NormResult, evaluate_family, literal_norm_sq_jt, norm
 from jamestree.reference import naive_norm
 from jamestree.sampling import nonzero_fraction, random_node, random_vector
 from jamestree.spaces import (
@@ -22,6 +26,7 @@ from jamestree.trees import (
     is_admissible,
     literal_chain_subsets,
 )
+from jamestree.verify import _triangle_ok
 
 
 def singleton_slice_vector(eps):
@@ -160,6 +165,30 @@ def test_norm_axioms_randomized():
                 diff = rxy.value_sq - rx.value_sq - ry.value_sq
                 assert diff <= 0 or diff * diff <= 4 * rx.value_sq * ry.value_sq
             assert (rx.value == 0 if rx.value is not None else rx.value_sq == 0) == x.is_zero
+
+
+def test_criterion_10_triangle_check_can_fail():
+    def l1(value):
+        return NormResult(JH, Fraction(value), None, AdmissibleFamily((), JH))
+
+    def jt(value_sq):
+        return NormResult(JT_INF, None, Fraction(value_sq), AdmissibleFamily((), JT_INF))
+
+    tiny = Fraction(1, 10**9)
+    assert _triangle_ok(l1(1), l1(1), l1(2))
+    assert not _triangle_ok(l1(1), l1(1), l1(2 + tiny))
+    assert _triangle_ok(jt(2), jt(8), jt(18))  # sqrt(18) = sqrt(2) + sqrt(8)
+    assert not _triangle_ok(jt(2), jt(8), jt(18 + tiny))
+
+
+def test_jt_candidate_cap_counts_nonzero_chains():
+    # chains with nonzero sum: four from the root, one from each other node
+    x = SparseVector(
+        (((), Fraction(1)), ((0,), Fraction(1)), ((0, 1), Fraction(-1)), ((1,), Fraction(2)))
+    )
+    assert norm(x, JT_INF, RunConfig(candidate_cap=7)).value_sq > 0
+    with pytest.raises(EnumerationCapError):
+        norm(x, JT_INF, RunConfig(candidate_cap=6))
 
 
 def test_monotone_projections():

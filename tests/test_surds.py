@@ -1,10 +1,20 @@
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
 from jamestree.errors import AmbiguousComparisonError
-from jamestree.surds import Surd, float_or_none, sqrt_bounds, sqrt_bracket, surd_le, surd_lt
+from jamestree.surds import (
+    Surd,
+    float_or_none,
+    sqrt_bounds,
+    sqrt_bracket,
+    sqrt_sum_sign,
+    surd_le,
+    surd_lt,
+)
 
 
 def test_sqrt_bracket_tight_and_outward():
@@ -66,3 +76,48 @@ def test_float_or_none_at_the_float_range():
     for value in (Fraction(0), Fraction(2), Fraction(1, 3), Fraction(10**300), Fraction(1, 10**400)):
         assert float_or_none(value) == float(value)
         assert float_or_none(value, root=True) == float(value) ** 0.5
+
+
+def test_sqrt_sum_sign_checks_sign_before_squaring():
+    # p + s*sqrt(B_s) <= q + t*sqrt(B_t) is sqrt_sum_sign(q - p, t, B_t, -s, B_s) >= 0
+    assert sqrt_sum_sign(-2, 1, 1, -1, 9) == -1  # 5 <= 1 fails
+    assert sqrt_sum_sign(-1, 1, 9, -1, 4) == 0  # 3 <= 3
+    assert sqrt_sum_sign(2, 1, 1, -1, 9) == 0  # 3 <= 3
+
+
+def test_sqrt_sum_sign_exact_zeros():
+    assert sqrt_sum_sign(0, 2, 2, -1, 8) == 0  # 2 sqrt(2) - sqrt(8)
+    assert sqrt_sum_sign(-1, 2, Fraction(1, 4)) == 0  # 2 sqrt(1/4) - 1
+    assert sqrt_sum_sign(1, 2, Fraction(1, 4), -2, 1) == 0  # 1 + 2 sqrt(1/4) - 2
+    assert sqrt_sum_sign(0) == 0 and sqrt_sum_sign(0, 5, 0, -3, 0) == 0
+    with pytest.raises(ValueError):
+        sqrt_sum_sign(0, 1, -1)
+
+
+def _decimal(value: Fraction) -> Decimal:
+    return Decimal(value.numerator) / Decimal(value.denominator)
+
+
+def test_sqrt_sum_sign_matches_decimal():
+    rng = random.Random(12)
+
+    def radicand() -> Fraction:
+        if rng.random() < 0.5:  # a square times 1, 2, 3 or 1/2
+            root = Fraction(rng.randint(0, 6), rng.randint(1, 4))
+            return root * root * rng.choice((1, 2, 3, Fraction(1, 2)))
+        return Fraction(rng.randint(0, 30), rng.randint(1, 5))
+
+    zeros = three_term_zeros = 0
+    with localcontext() as ctx:
+        ctx.prec = 120
+        for _ in range(10_000):
+            a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            B, C = radicand(), radicand()
+            total = _decimal(a) + _decimal(b) * _decimal(B).sqrt() + _decimal(c) * _decimal(C).sqrt()
+            expected = 0 if abs(total) < Decimal(10) ** -100 else (1 if total > 0 else -1)
+            assert sqrt_sum_sign(a, b, B, c, C) == expected, (a, b, B, c, C)
+            zeros += expected == 0
+            three_term_zeros += expected == 0 and a * b * c * B * C != 0
+    assert zeros >= 20 and three_term_zeros >= 1  # exact cancellations occur
