@@ -17,7 +17,6 @@ from .certificates import (
 from .config import DEFAULT_CONFIG, RunConfig
 from .dualnorm import DualNormCertificate, dual_norm
 from .errors import (
-    AmbiguousComparisonError,
     CertificationError,
     ConvergenceError,
     EnumerationCapError,
@@ -55,7 +54,7 @@ from .spaces import (
     project_levels,
     unit_vector,
 )
-from .surds import Surd, surd_le, surd_lt
+from .surds import Surd
 from .trees import (
     AdmissibleFamily,
     NodeOrder,

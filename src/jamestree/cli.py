@@ -145,7 +145,7 @@ def _slice_spec(args, config: RunConfig) -> SliceSpec:
     vec, space = _load_input(schemas.vector_from_json, args.vector, args.space)
     if args.level_cap is not None and args.level_cap < 0:
         raise SchemaError("level cap must be nonnegative")
-    return SliceSpec(vec, _parse_alpha(args.alpha), space, config.grid_resolution, args.level_cap)
+    return SliceSpec(vec, _parse_alpha(args.alpha), space, args.level_cap)
 
 
 def _cmd_slice(args) -> int:

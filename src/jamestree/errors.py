@@ -52,9 +52,5 @@ class ScenarioConstraintError(JamesTreeError):
     """
 
 
-class AmbiguousComparisonError(JamesTreeError):
-    """Interval comparison could not be decided at the requested width."""
-
-
 class SchemaError(JamesTreeError):
     """Malformed JSON input (wire-format validation failure)."""

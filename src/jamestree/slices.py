@@ -26,16 +26,18 @@ from .spaces import SparseVector, SpaceKind, SpaceSpec
 from .surds import Surd, sqrt_bounds, sqrt_sum_sign
 from .trees import enumerate_admissible_families, segment_sum
 
+MAX_PAIRS = 20_000  # member pairs slice_diameter evaluates before it refuses
+
 
 @dataclass(frozen=True)
 class SliceSpec:
-    """Norming-set slice data: slicing vector, width, space, representative
-    parameters (molecule grid resolution, enumeration level cap)."""
+    """Norming-set slice data: slicing vector, width, space, and the
+    enumeration level cap.  The JT_INF molecule grid resolution is the run
+    config's `grid_resolution`."""
 
     x: SparseVector
     alpha: Fraction
     space: SpaceSpec
-    grid_resolution: Fraction = Fraction(1, 8)
     level_cap: int | None = None
 
     def __post_init__(self) -> None:
@@ -55,16 +57,18 @@ class DiameterReport:
     scenario: str | None = None
 
 
-def _rho_for_membership(value_sq: Fraction, threshold_num: Fraction) -> Fraction | None:
-    """Rational rho with rho^2 * value_sq <= 1 and rho * value_sq > threshold.
+def _rho_for_membership(
+    value_sq: Fraction, norm_res: NormResult, alpha: Fraction
+) -> Fraction | None:
+    """Rational rho with rho^2 * value_sq <= 1 and rho * value_sq > ||x|| - alpha.
 
-    Exists whenever sqrt(value_sq) > threshold; refines a one-sided sqrt
-    approximation until the strict inequality shows.
+    Exists whenever sqrt(value_sq) > ||x|| - alpha; refines a one-sided sqrt
+    approximation until the exact membership test passes.
     """
     scale = 10**6
     for _ in range(8):
         rho = sqrt_bounds(value_sq, scale)[0] / value_sq
-        if rho * value_sq > threshold_num:
+        if norm_res.exceeds_threshold(rho * value_sq, alpha):
             return rho
         scale *= 10**3
     return None
@@ -75,8 +79,8 @@ def _molecule_members(
 ) -> list[DualFunctional]:
     members: list[DualFunctional] = []
     seen = set()
-    grid_den = spec.grid_resolution.denominator
-    if spec.grid_resolution.numerator != 1:
+    grid_den = config.grid_resolution.denominator
+    if config.grid_resolution.numerator != 1:
         raise PreconditionError("grid resolution must be 1/k")
     families = enumerate_admissible_families(spec.x.support, spec.space, config, q_cap=spec.level_cap)
 
@@ -100,8 +104,7 @@ def _molecule_members(
                     if c != 0
                 )
             else:
-                tau = _threshold_value_bound(norm_res, spec.alpha)
-                rho = _rho_for_membership(fit.value_sq, tau)
+                rho = _rho_for_membership(fit.value_sq, norm_res, spec.alpha)
                 if rho is not None:
                     add(
                         (s * rho, seg)
@@ -121,11 +124,6 @@ def _molecule_members(
             if norm_res.exceeds_threshold(val, spec.alpha):
                 add((c, seg) for c, seg in zip(coeffs, family.segments) if c != 0)
     return members
-
-
-def _threshold_value_bound(norm_res: NormResult, alpha: Fraction) -> Fraction:
-    """A rational tau >= ||x|| - alpha to test molecule memberships against."""
-    return sqrt_bounds(norm_res.value_sq, 10**9)[1] - alpha
 
 
 def slice_members(spec: SliceSpec, config: RunConfig = DEFAULT_CONFIG) -> list[DualFunctional]:
@@ -206,7 +204,6 @@ def slice_diameter(
     scenario: str | None = None,
     scenario_params: dict | None = None,
     config: RunConfig = DEFAULT_CONFIG,
-    max_pairs: int = 20_000,
 ) -> DiameterReport:
     """Diameter report over the sampled slice representatives.
 
@@ -219,7 +216,7 @@ def slice_diameter(
     lower = Fraction(0)
     pair = None
     n = len(members)
-    if n * (n - 1) // 2 > max_pairs:
+    if n * (n - 1) // 2 > MAX_PAIRS:
         raise EnumerationCapError(f"too many member pairs ({n} members)")
     for i in range(n):
         for j in range(i + 1, n):

@@ -1,23 +1,18 @@
 """Exact square-root arithmetic.
 
 `sqrt_sum_sign` decides the sign of a + b*sqrt(B) + c*sqrt(C) exactly, by
-comparing signs first and squaring only where they differ; every norm bound,
-slice threshold and octahedrality ratio is decided through it.  `Surd`
-values a + b*sqrt(2) + c*sqrt(delta) compare (`surd_le`) through rational
-interval enclosures with outward rounding; the default width is 10^-12 and
-is refined until the comparison resolves or symbolic equality is
-established.
+comparing signs first and squaring only where they differ.  Every square-root
+decision in the package goes through it: norm bounds, slice thresholds,
+octahedrality ratios, and the comparison of a `Surd` value
+a + b*sqrt(2) + c*sqrt(delta) with a rational (`Surd.compare`).  No decision
+rests on an enclosure width or a tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, ldexp
-
-from .errors import AmbiguousComparisonError
-
-DEFAULT_WIDTH = Fraction(1, 10**12)
+from math import isfinite, isqrt, ldexp
 
 
 def sqrt_bounds(value: Fraction, scale: int) -> tuple[Fraction, Fraction]:
@@ -47,22 +42,6 @@ def float_or_none(value: Fraction, root: bool = False) -> float | None:
         except OverflowError:
             return None
     return number ** 0.5 if root else number
-
-
-def sqrt_bracket(value: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Outward rational enclosure of sqrt(value) no wider than `width`,
-    collapsed to (root, root) when value is a perfect square."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    if value == 0:
-        return Fraction(0), Fraction(0)
-    scale = 1
-    while Fraction(1, value.denominator * scale) > width:
-        scale *= 2
-    lo, hi = sqrt_bounds(value, scale)
-    if lo * lo == value:
-        return lo, lo
-    return lo, hi
 
 
 def _sign(value) -> int:
@@ -119,69 +98,20 @@ class Surd:
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
 
-    def bracket(self, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
-        lo2, hi2 = sqrt_bracket(Fraction(2), width)
-        lod, hid = sqrt_bracket(self.delta, width)
-        lo = self.a
-        hi = self.a
-        if self.b >= 0:
-            lo += self.b * lo2
-            hi += self.b * hi2
-        else:
-            lo += self.b * hi2
-            hi += self.b * lo2
-        if self.c >= 0:
-            lo += self.c * lod
-            hi += self.c * hid
-        else:
-            lo += self.c * hid
-            hi += self.c * lod
-        return lo, hi
-
-    def rational_value(self) -> Fraction | None:
-        if self.b != 0:
-            return None
-        if self.c == 0:
-            return self.a
-        root = exact_sqrt(self.delta)
-        if root is None:
-            return None
-        return self.a + self.c * root
+    def compare(self, q: Fraction) -> int:
+        """Exact sign (-1, 0 or 1) of self - q, for a rational q."""
+        return sqrt_sum_sign(self.a - q, self.b, 2, self.c, self.delta)
 
     @property
     def float_value(self) -> float | None:
-        lo, hi = self.bracket()
-        return float_or_none((lo + hi) / 2)
-
-
-def as_surd(value) -> Surd:
-    if isinstance(value, Surd):
-        return value
-    return Surd(Fraction(value))
-
-
-def surd_le(lhs, rhs, width: Fraction = DEFAULT_WIDTH, max_refinements: int = 8) -> bool:
-    """Certified lhs <= rhs.  Refines the enclosure on overlap; falls back to
-    symbolic equality; raises AmbiguousComparisonError if still undecided."""
-    left, right = as_surd(lhs), as_surd(rhs)
-    if (left.a, left.b, left.c, left.delta) == (right.a, right.b, right.c, right.delta):
-        return True
-    lr, rr = left.rational_value(), right.rational_value()
-    if lr is not None and rr is not None:
-        return lr <= rr
-    w = width
-    for _ in range(max_refinements):
-        llo, lhi = left.bracket(w)
-        rlo, rhi = right.bracket(w)
-        if lhi <= rlo:
-            return True
-        if llo > rhi:
-            return False
-        w = w / 2**10
-    raise AmbiguousComparisonError(
-        f"could not order {left} and {right} at width {width}"
-    )
-
-
-def surd_lt(lhs, rhs, width: Fraction = DEFAULT_WIDTH) -> bool:
-    return surd_le(lhs, rhs, width) and not surd_le(rhs, lhs, width)
+        parts = (
+            float_or_none(self.a),
+            float_or_none(self.b),
+            float_or_none(self.c),
+            float_or_none(self.delta, root=True),
+        )
+        if None in parts:
+            return None
+        a, b, c, root = parts
+        total = a + b * 2**0.5 + c * root
+        return total if isfinite(total) else None

@@ -48,7 +48,7 @@ from .spaces import (
     project_levels,
     unit_vector,
 )
-from .surds import sqrt_sum_sign, surd_le
+from .surds import sqrt_sum_sign
 from .trees import Segment, segments_disjoint
 
 
@@ -185,7 +185,7 @@ def check_sqrt2_bound(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
                 problems.append(f"alpha={alpha} off the admissible grid")
                 continue
             bound = scenario_upper_bound("JT_SQRT2", alpha=alpha, delta=delta, epsilon=eps)
-            spec = SliceSpec(x, alpha, JT_INF, grid_resolution=config.grid_resolution, level_cap=3)
+            spec = SliceSpec(x, alpha, JT_INF, level_cap=3)
             members = slice_members(spec, config)
             if not members:
                 problems.append(f"delta={delta}, alpha={alpha}: empty slice")
@@ -209,7 +209,7 @@ def check_sqrt2_bound(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
                 for j in range(i + 1, len(members)):
                     cert = dual_norm(members[i] - members[j], JT_INF, config=config)
                     pair_count += 1
-                    if not surd_le(cert.upper, bound, Fraction(1, 10**12)):
+                    if bound.compare(cert.upper) < 0:
                         problems.append(
                             f"pair distance {cert.upper} exceeds sqrt(2)+alpha+2sqrt(delta)"
                         )

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from jamestree.config import DEFAULT_CONFIG
+from jamestree.dualnorm import dual_norm
 from jamestree.errors import ScenarioConstraintError
+from jamestree.functionals import MOLECULE, DualFunctional
 from jamestree.norms import norm
 from jamestree.sampling import random_vector
 from jamestree.slices import (
@@ -59,6 +62,15 @@ def test_jt_slice_leading_coefficient():
         assert leading[0][0] > 1 - Fraction(1, 10)
 
 
+def test_molecule_grid_follows_the_run_config():
+    x = SparseVector((((), Fraction(1, 2)), ((0,), Fraction(1, 3)), ((1,), Fraction(-1, 4))))
+    spec = SliceSpec(x, Fraction(1, 4), JT_INF)
+    coarse = slice_members(spec, DEFAULT_CONFIG.with_(grid_resolution=Fraction(1, 2)))
+    fine = slice_members(spec, DEFAULT_CONFIG.with_(grid_resolution=Fraction(1, 8)))
+    assert len(coarse) == 3 and len(fine) == 22
+    assert {g.terms for g in coarse} <= {g.terms for g in fine}
+
+
 def test_huge_alpha_gives_full_representative_list():
     x = SparseVector((((), Fraction(4, 5)), ((1,), Fraction(1, 5))))
     res = norm(x, JT_INF)
@@ -93,6 +105,19 @@ def test_scenario_upper_bound_values():
     bound = scenario_upper_bound("JT_SQRT2", alpha=Fraction(1, 100), delta=Fraction(1, 25))
     assert bound == Surd(Fraction(1, 100), Fraction(1), Fraction(2), Fraction(1, 25))
     assert scenario_upper_bound("JH_ZERO", epsilon=Fraction(1, 5), alpha=Fraction(1, 20)) == 0
+
+
+def test_criterion_3_pair_lies_under_the_sqrt2_bound():
+    # f_[(),(1,0)] - f_[(),(1,1)] has dual norm sqrt(2); its certified upper
+    # bound, about 10^-10 above sqrt(2), lies under sqrt(2) + alpha + 2 sqrt(delta)
+    g = DualFunctional(((Fraction(1), Segment((), (1, 0))),), MOLECULE)
+    h = DualFunctional(((Fraction(1), Segment((), (1, 1))),), MOLECULE)
+    cert = dual_norm(g - h, JT_INF)
+    assert Surd(Fraction(0), Fraction(1)).compare(cert.lower) >= 0
+    assert Surd(Fraction(0), Fraction(1)).compare(cert.upper) <= 0
+    bound = scenario_upper_bound("JT_SQRT2", alpha=Fraction(41, 2048), delta=Fraction(1, 25))
+    assert bound.compare(cert.upper) == 1
+    assert bound.compare(cert.upper + Fraction(1, 2)) == -1
 
 
 def test_scenario_upper_bound_constraints():
@@ -134,8 +159,6 @@ def test_diameter_lower_monotone_in_alpha():
 
 
 def test_diameter_witness_pair_reproduces_lower():
-    from jamestree.dualnorm import dual_norm
-
     x = unit_vector((1,)) + unit_vector((2,))
     alpha = Fraction(3, 2)
     report = slice_diameter(SliceSpec(x, alpha, JH_INF))

@@ -1,52 +1,63 @@
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, ulp
 
 import pytest
 
-from jamestree.errors import AmbiguousComparisonError
-from jamestree.surds import (
-    Surd,
-    float_or_none,
-    sqrt_bounds,
-    sqrt_bracket,
-    sqrt_sum_sign,
-    surd_le,
-    surd_lt,
-)
+from jamestree.surds import Surd, float_or_none, sqrt_bounds, sqrt_sum_sign
+
+NEAR_TIE = Surd(a=Fraction(41, 2048), b=Fraction(1), c=Fraction(2), delta=Fraction(1, 25))
 
 
-def test_sqrt_bracket_tight_and_outward():
-    lo, hi = sqrt_bracket(Fraction(2), Fraction(1, 10**12))
-    assert lo * lo <= 2 <= hi * hi
-    assert hi - lo <= Fraction(1, 10**12)
-    lo, hi = sqrt_bracket(Fraction(9, 4), Fraction(1, 10**6))
-    assert lo == hi == Fraction(3, 2)
+def _decimal(value: Fraction) -> Decimal:
+    return Decimal(value.numerator) / Decimal(value.denominator)
+
+
+def _rational_near(surd: Surd, digits: int) -> Fraction:
+    """A rational within 10^-digits of the surd, from a decimal expansion."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 20
+        total = _decimal(surd.a) + _decimal(surd.b) * Decimal(2).sqrt()
+        total += _decimal(surd.c) * _decimal(surd.delta).sqrt()
+    return Fraction(total)
 
 
 def test_surd_comparisons():
+    # a rational 10^-40 away from sqrt(2) + 41/2048 + 2 sqrt(1/25), on either side
+    near = _rational_near(NEAR_TIE, 60)
+    gap = Fraction(1, 10**40)
+    assert NEAR_TIE.compare(near - gap) == 1
+    assert NEAR_TIE.compare(near + gap) == -1
     bound = Surd(a=Fraction(1, 20), b=Fraction(1), c=Fraction(2), delta=Fraction(1, 25))
-    # sqrt(2) + 1/20 + 2/5 = 1.864...
-    assert surd_le(Fraction(9, 5), bound)
-    assert not surd_le(Fraction(2), bound)
-    assert surd_lt(bound, Fraction(2))
-    assert surd_le(bound, bound)
+    assert bound.compare(Fraction(9, 5)) == 1  # sqrt(2) + 1/20 + 2/5 = 1.864...
+    assert bound.compare(Fraction(2)) == -1
 
 
 def test_rational_surds_compare_exactly():
-    s = Surd(a=Fraction(1), c=Fraction(2), delta=Fraction(1, 4))  # 1 + 2*(1/2) = 2
-    assert surd_le(s, Fraction(2)) and surd_le(Fraction(2), s)
-
-
-def test_equal_irrationals_raise():
-    with pytest.raises(AmbiguousComparisonError):
-        surd_le(Surd(Fraction(0), b=Fraction(1)), Surd(Fraction(0), c=Fraction(1), delta=Fraction(2)))
+    assert Surd(a=Fraction(1), c=Fraction(2), delta=Fraction(1, 4)).compare(Fraction(2)) == 0
+    assert Surd(Fraction(3)).compare(Fraction(3)) == 0
+    assert Surd(Fraction(0), b=Fraction(1), c=Fraction(-1), delta=Fraction(2)).compare(Fraction(0)) == 0
 
 
 def test_float_rendering():
-    bound = Surd(a=Fraction(1, 20), b=Fraction(1), c=Fraction(2), delta=Fraction(1, 25))
-    assert abs(bound.float_value - (2**0.5 + 0.05 + 0.4)) < 1e-9
+    """float_value is the float of the exact value, to a few ulp (50-digit decimal reference)."""
+    for surd in (
+        Surd(Fraction(1, 100), Fraction(1), Fraction(2), Fraction(1, 25)),  # 1.824213562373095...
+        Surd(Fraction(1, 20), Fraction(1), Fraction(2), Fraction(1, 25)),
+        NEAR_TIE,
+        Surd(Fraction(-3, 7), Fraction(5, 3), Fraction(-2, 9), Fraction(7, 11)),
+        Surd(Fraction(10**30, 3), Fraction(1), Fraction(2), Fraction(1, 10**50)),
+    ):
+        expected = float(_rational_near(surd, 50))
+        assert abs(surd.float_value - expected) <= 4 * ulp(expected), surd
+
+
+def test_float_value_at_the_float_range():
+    assert Surd(Fraction(1, 100), Fraction(1), Fraction(2), Fraction(10**400)).float_value == 2e200
+    assert Surd(Fraction(1, 100), Fraction(1), Fraction(2), Fraction(10**800)).float_value is None
+    assert Surd(Fraction(10**400), Fraction(1)).float_value is None
+    assert Surd(Fraction(0), Fraction(1), Fraction(10**308), Fraction(10**10)).float_value is None
 
 
 # perfect squares, non-squares, and values below 1
@@ -92,10 +103,6 @@ def test_sqrt_sum_sign_exact_zeros():
     assert sqrt_sum_sign(0) == 0 and sqrt_sum_sign(0, 5, 0, -3, 0) == 0
     with pytest.raises(ValueError):
         sqrt_sum_sign(0, 1, -1)
-
-
-def _decimal(value: Fraction) -> Decimal:
-    return Decimal(value.numerator) / Decimal(value.denominator)
 
 
 def test_sqrt_sum_sign_matches_decimal():
