@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import EnumerationCapError, JamesTreeError
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
@@ -288,8 +290,12 @@ def norm(x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) 
 def evaluate_family(family: AdmissibleFamily, x: SparseVector) -> Fraction:
     """Norm expression of one family: sum of |segment sums| (L1) or of squares."""
     sums = [segment_sum(x, seg) for seg in family.segments]
-    terms = [abs(s) for s in sums] if family.space.aggregates_l1 else [s * s for s in sums]
-    return sum(terms[1:], terms[0]) if terms else Fraction(0)
+    # one normalization on a common denominator instead of a Fraction per term
+    den = lcm(*(s.denominator for s in sums))
+    nums = [s.numerator * (den // s.denominator) for s in sums]
+    if family.space.aggregates_l1:
+        return Fraction(sum(abs(n) for n in nums), den)
+    return Fraction(sum(n * n for n in nums), den * den)
 
 
 def literal_norm_sq_jt(

@@ -1,9 +1,13 @@
 """Reference implementations used only to cross-check the engines.
 
-Everything here is deliberately naive: full enumeration of the canonical
-family stream for norms, one exact LP over the complete constraint set (L1
-spaces) or a grid scan (JT_INF) for dual norms.  Nothing in the package
-imports this module outside of tests and the verification suite.
+Everything here is deliberately naive: a visit of every family in the
+canonical stream for norms, one exact LP over the complete constraint set (L1
+spaces) or a grid scan (JT_INF) for dual norms.  The norm oracle walks the
+same candidate groups and disjoint-subset DFS as
+`trees.enumerate_admissible_families`, but scores each family as it is
+emitted instead of materializing and sorting the stream, so its memory is
+linear in the candidates; it uses nothing from `norms`.  Nothing in the
+package imports this module outside of tests and the verification suite.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .surds import sqrt_bounds
 from .trees import (
     AdmissibleFamily,
     Segment,
+    _canonical_candidate_groups,
     _disjoint_subsets,
     avoiding_branch,
     enumerate_admissible_families,
@@ -46,30 +51,49 @@ def _integer_scores(x: SparseVector, space: SpaceSpec) -> tuple[Callable[[Segmen
 def naive_norm(
     x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG
 ) -> tuple[Fraction, AdmissibleFamily]:
-    """Exhaustive max over the canonical family stream.
+    """Exhaustive max over the canonical family stream, scored as it is emitted.
 
     Returns (value, witness) for L1 spaces and (value squared, witness) for
-    JT_INF, with the witness minimal in the canonical family order: the stream
-    is sorted, so the first family with a strictly larger value is kept.
-    Each distinct segment is scored once (`_integer_scores`) and families are
-    compared by their integer totals.
+    JT_INF, with the witness the first attaining family in the canonical
+    order of `enumerate_admissible_families`.  Every family of every
+    candidate group is visited, but none is materialized: each candidate is
+    scored once (`_integer_scores`), a family's total is the sum of its
+    candidates' scores, and among the families with the largest total the
+    one with the least (segment count, node count, segment keys) is kept.
+    Emitted index tuples are increasing and the candidates sorted, so the
+    segment keys are already in canonical order; memory is linear in the
+    candidates, not in the families.
     """
     x.validate_for(space)
     score, denominator = _integer_scores(x, space)
-    scores: dict[Segment, int] = {}
     best = 0
-    best_family = AdmissibleFamily((), space)
-    for family in enumerate_admissible_families(x.support, space, config):
-        total = 0
-        for seg in family.segments:
-            s = scores.get(seg)
-            if s is None:
-                s = scores[seg] = score(seg)
-            total += s
-        if total > best:
-            best = total
-            best_family = family
-    return Fraction(best, denominator), best_family
+    best_rank = (0, 0)  # (segment count, node count) of best_segs
+    best_segs: tuple[Segment, ...] = ()
+    for cands in _canonical_candidate_groups(x.support, space, config):
+        scores = [score(seg) for seg in cands]
+        sizes = [seg.q - seg.p + 1 for seg in cands]
+
+        def emit(chosen: tuple[int, ...]) -> None:
+            nonlocal best, best_rank, best_segs
+            total = 0
+            for i in chosen:
+                total += scores[i]
+            if total < best or total == 0:
+                return
+            rank = (len(chosen), sum(sizes[i] for i in chosen))
+            if total == best and rank > best_rank:
+                return
+            segs = tuple(cands[i] for i in chosen)
+            if total == best and rank == best_rank and _segment_keys(segs) > _segment_keys(best_segs):
+                return
+            best, best_rank, best_segs = total, rank, segs
+
+        _disjoint_subsets(cands, config.family_cap, emit)
+    return Fraction(best, denominator), AdmissibleFamily(best_segs, space)
+
+
+def _segment_keys(segs: tuple[Segment, ...]) -> tuple:
+    return tuple(seg.sort_key() for seg in segs)
 
 
 def _dyadic_zero_extension(bottom: Node, depth: int, support_set: frozenset) -> Node | None:
@@ -100,39 +124,27 @@ def padded_variants(
     base_paths = list(support) + [s.bottom for s in family.segments]
     fresh = max_index_used(base_paths) + 1
     for d in range(0, extra_levels + 1):
-        for extra in range(0, extra_segments + 1):
-            if d == 0 and extra == 0:
+        if d == 0:
+            segs = list(family.segments)
+        elif space.dyadic:
+            bottoms = [_dyadic_zero_extension(seg.bottom, d, support_set) for seg in family.segments]
+            if None in bottoms:
                 continue
-            segs = []
-            ok = True
-            for seg in family.segments:
-                if d == 0:
-                    segs.append(seg)
-                    continue
-                if space.dyadic:
-                    new_bottom = _dyadic_zero_extension(seg.bottom, d, support_set)
-                    if new_bottom is None:
-                        ok = False
-                        break
-                else:
-                    new_bottom = seg.bottom + (fresh,) + (0,) * (d - 1)
-                segs.append(Segment(seg.top, new_bottom))
-            if not ok:
-                continue
-            if extra:
-                if space.dyadic:
-                    continue  # fresh disjoint branches need infinite branching
-                all_paths = base_paths + [s.bottom for s in segs]
-                if space.level_aligned:
-                    p, q = segs[0].p, segs[0].q
-                    if p == 0:
-                        continue  # a second segment through the root is never disjoint
-                else:
-                    p, q = 1, max(d, 1)
-                for _ in range(extra):
-                    branch = avoiding_branch(all_paths, q)
-                    segs.append(Segment(branch[p - 1], branch[q - 1]))
-                    all_paths = all_paths + [segs[-1].bottom]
+            segs = [Segment(seg.top, b) for seg, b in zip(family.segments, bottoms)]
+        else:
+            segs = [Segment(seg.top, seg.bottom + (fresh,) + (0,) * (d - 1)) for seg in family.segments]
+        if d:
+            out.append(AdmissibleFamily(tuple(segs), space))
+        # fresh disjoint branches need infinite branching, and a second
+        # segment through the root is never disjoint
+        if space.dyadic or space.level_aligned and segs[0].p == 0:
+            continue
+        p, q = (segs[0].p, segs[0].q) if space.level_aligned else (1, max(d, 1))
+        all_paths = base_paths + [s.bottom for s in segs]
+        for _ in range(extra_segments):
+            branch = avoiding_branch(all_paths, q)
+            segs.append(Segment(branch[p - 1], branch[q - 1]))
+            all_paths.append(branch[q - 1])
             out.append(AdmissibleFamily(tuple(segs), space))
     return out
 
@@ -165,16 +177,16 @@ def truncated_universe_norm(
     else:
         groups = [segments]
     score, denominator = _integer_scores(x, space)
-    scores = {s: score(s) for group in groups for s in group}
     best = 0
-
-    def emit(family: tuple[Segment, ...]) -> None:
-        nonlocal best
-        total = sum(scores[s] for s in family)
-        if total > best:
-            best = total
-
     for cands in groups:
+        scores = [score(s) for s in cands]
+
+        def emit(chosen: tuple[int, ...]) -> None:
+            nonlocal best
+            total = sum(scores[i] for i in chosen)
+            if total > best:
+                best = total
+
         _disjoint_subsets(cands, DEFAULT_CONFIG.family_cap, emit)
     return Fraction(best, denominator)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import EnumerationCapError, InvalidSegmentError, wire_text
@@ -106,8 +106,9 @@ def segment_nodes(segment: Segment) -> tuple[Node, ...]:
 
 def segments_disjoint(s1: Segment, s2: Segment) -> bool:
     # Two chains intersect iff the deeper top lies on the other chain.
-    deeper, other = (s1, s2) if len(s1.top) >= len(s2.top) else (s2, s1)
-    return not other.contains(deeper.top)
+    top, other = (s1.top, s2) if len(s1.top) >= len(s2.top) else (s2.top, s1)
+    depth = len(top)
+    return depth > len(other.bottom) or other.bottom[:depth] != top
 
 
 def family_disjoint(segments: Sequence[Segment]) -> bool:
@@ -241,10 +242,10 @@ def _guard(count: int, cap: int, what: str) -> None:
 def _disjoint_subsets(
     candidates: Sequence[Segment],
     family_cap: int,
-    emit: Callable[[tuple[Segment, ...]], None],
+    emit: Callable[[tuple[int, ...]], None],
 ) -> None:
     """Emit every nonempty pairwise-disjoint subset, in DFS order over the
-    candidate list (`emit` receives segments in candidate order).
+    candidate list, as the increasing tuple of its candidate indices.
 
     Disjointness is tested once per candidate pair: bit k of `clash[j]` is set
     when candidate k > j meets candidate j.  The DFS carries the union of the
@@ -257,14 +258,14 @@ def _disjoint_subsets(
             if not segments_disjoint(candidates[j], candidates[k]):
                 clash[j] |= 1 << k
     count = 0
-    chosen: list[Segment] = []
+    chosen: list[int] = []
 
     def rec(start: int, blocked: int) -> None:
         nonlocal count
         for j in range(start, n):
             if blocked >> j & 1:
                 continue
-            chosen.append(candidates[j])
+            chosen.append(j)
             count += 1
             _guard(count, family_cap, "family enumeration")
             emit(tuple(chosen))
@@ -304,6 +305,34 @@ def aligned_candidates(
     return cands
 
 
+def _canonical_candidate_groups(
+    support: Iterable[Node],
+    space: SpaceSpec,
+    config: RunConfig = DEFAULT_CONFIG,
+    q_cap: int | None = None,
+) -> Iterator[list[Segment]]:
+    """The candidate lists whose disjoint subsets are the canonical families.
+
+    Level-aligned spaces yield one list per (p, q) window, JT_INF yields its
+    single list of core chains; each list is in `Segment.sort_key` order and
+    is built only when the previous one has been consumed.  `family_cap`
+    applies to each list separately.
+    """
+    closure = Closure(support)
+    if not closure.support:
+        return
+    top_level = max(len(n) for n in closure.support)
+    if q_cap is not None:
+        top_level = min(top_level, q_cap)
+    if space.level_aligned:
+        fresh = max_index_used(closure.support) + 1
+        for q in range(space.min_top_level, top_level + 1):
+            for p in range(space.min_top_level, q + 1):
+                yield aligned_candidates(closure, p, q, space, fresh, config)
+    else:
+        yield _jt_core_candidates(closure, config)
+
+
 def enumerate_admissible_families(
     support: Iterable[Node],
     space: SpaceSpec,
@@ -317,28 +346,13 @@ def enumerate_admissible_families(
     over all admissible families in the full infinite tree; see the module
     docstring for the reduction.  Empty support yields the empty list.
     """
-    closure = Closure(support)
-    if not closure.support:
-        return []
-    top_level = max(len(n) for n in closure.support)
-    if q_cap is not None:
-        top_level = min(top_level, q_cap)
-
     out: list[AdmissibleFamily] = []
-
-    def emit(segs: tuple[Segment, ...]) -> None:
-        out.append(AdmissibleFamily(segs, space))
-
-    if space.level_aligned:
-        fresh = max_index_used(closure.support) + 1
-        for q in range(space.min_top_level, top_level + 1):
-            for p in range(space.min_top_level, q + 1):
-                cands = aligned_candidates(closure, p, q, space, fresh, config)
-                _disjoint_subsets(cands, config.family_cap, emit)
-    else:
-        cands = _jt_core_candidates(closure, config)
-        _disjoint_subsets(cands, config.family_cap, emit)
-
+    for cands in _canonical_candidate_groups(support, space, config, q_cap):
+        _disjoint_subsets(
+            cands,
+            config.family_cap,
+            lambda chosen: out.append(AdmissibleFamily(tuple(cands[i] for i in chosen), space)),
+        )
     out.sort(key=AdmissibleFamily.sort_key)
     return out
 

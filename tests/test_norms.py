@@ -148,6 +148,61 @@ def test_naive_norm_is_exact_first_maximum_of_the_stream():
         assert naive_norm(SparseVector(()), space) == (0, AdmissibleFamily((), space))
 
 
+def test_naive_norm_keeps_the_first_of_tied_maxima():
+    # Entries in {1, -1, 2}: many families attain the maximum, so the witness
+    # rests on the canonical tie-break of the streamed oracle alone.
+    rng = random.Random(73)
+    for space in ALL_SPACES:
+        tied = 0
+        for _ in range(40):
+            nodes = {random_node(rng, space, 3, 2) for _ in range(rng.randint(1, 6))}
+            if space is M_HYP:
+                nodes.discard(())  # the hyperplane carries no root entry
+            x = SparseVector(tuple((n, Fraction(rng.choice((1, -1, 2)))) for n in sorted(nodes)))
+            families = enumerate_admissible_families(x.support, space)
+            values = [evaluate_family(f, x) for f in families]
+            best = max(values, default=Fraction(0))
+            first = families[values.index(best)] if best else AdmissibleFamily((), space)
+            assert naive_norm(x, space) == (best, first), (space.kind, x.entries)
+            tied += values.count(best) > 1
+        assert tied > 0, space.kind
+
+
+def test_naive_norm_trips_the_family_cap_like_the_enumeration():
+    def raises(fn, cap):
+        try:
+            fn(RunConfig(family_cap=cap))
+        except EnumerationCapError:
+            return True
+        return False
+
+    # JT_INF has one candidate group: its 11 families fit under a cap of 11
+    x = SparseVector((((), Fraction(1)), ((1,), Fraction(-1)), ((2,), Fraction(2))))
+    assert len(enumerate_admissible_families(x.support, JT_INF)) == 11
+    for cap in (10, 11):
+        assert raises(lambda c: naive_norm(x, JT_INF, c), cap) == (cap == 10)
+    # aligned spaces count each (p, q) window on its own, so a cap below the
+    # total number of families can still pass
+    y = SparseVector(
+        (
+            ((), Fraction(1)),
+            ((0,), Fraction(2)),
+            ((1,), Fraction(-1)),
+            ((0, 0), Fraction(1)),
+            ((1, 1), Fraction(2)),
+        )
+    )
+    total = len(enumerate_admissible_families(y.support, JH))
+    tripped = [
+        cap
+        for cap in range(1, total + 1)
+        if raises(lambda c: enumerate_admissible_families(y.support, JH, c), cap)
+    ]
+    assert 0 < len(tripped) < total - 1
+    for cap in range(1, total + 1):
+        assert raises(lambda c: naive_norm(y, JH, c), cap) == (cap in tripped), cap
+
+
 def test_norm_axioms_randomized():
     rng = random.Random(29)
     for space in ALL_SPACES:
