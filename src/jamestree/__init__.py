@@ -57,12 +57,9 @@ from .spaces import (
 from .surds import Surd
 from .trees import (
     AdmissibleFamily,
-    NodeOrder,
     Segment,
     enumerate_admissible_families,
     is_admissible,
-    node_order,
-    segment_nodes,
     segments_disjoint,
 )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .dualnorm import certify_unit_ball, dual_norm
@@ -24,7 +25,7 @@ from .norms import norm
 from .slices import SliceSpec, slice_members
 from .spaces import ROOT, M_HYP, Node, SparseVector, SpaceKind, SpaceSpec, unit_vector
 from .surds import exact_sqrt, sqrt_sum_sign
-from .trees import Segment, max_index_used
+from .trees import Segment, avoiding_branch, max_index_used
 
 
 def _bits(value: int, width: int) -> Node:
@@ -151,7 +152,7 @@ def sd2p_witnesses(
     if worst >= 1:
         raise CertificationError("interior points must have norm < 1")
     # smallest m with every ||x_i|| <= 1 - 1/m
-    m = max(2, _ceil_fraction(Fraction(1) / (1 - worst)))
+    m = max(2, ceil(1 / (1 - worst)))
 
     all_paths = [node for x_i in interior for node in x_i.support]
     for g, _ in slices:
@@ -210,10 +211,6 @@ def sd2p_witnesses(
         m=m,
         distance=Fraction(2),
     )
-
-
-def _ceil_fraction(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
 
 
 @dataclass(frozen=True)
@@ -435,8 +432,6 @@ def octahedrality_deficit(
 def fresh_direction(basis: tuple[SparseVector, ...]) -> SparseVector:
     """Unit vector on a branch avoiding every basis support, one level deeper
     than all of them (infinite-branching spaces)."""
-    from .trees import avoiding_branch
-
     paths = [n for vec in basis for n in vec.support]
     depth = max((len(n) for n in paths), default=0) + 1
     branch = avoiding_branch(paths, depth)

@@ -5,15 +5,15 @@ Maximizes g(x) over the unit ball of the truncated coordinate space
 box |x_t| <= 1 (valid: every singleton is a norm-one functional), which
 `lp.simplex_max` keeps as variable bounds, so the LP rows are the cuts alone;
 each round the exact primal norm engine plays separation oracle: if the LP
-optimizer leaves the ball, its witness family yields a valid cut
-
-    sum_i w_i f_{S_i}(x) <= 1
-
-with w_i the segment-sum signs (L1 spaces; a signed admissible family) or a
-rational rounding of segment-sum / norm (JT_INF; a molecule), and the loop
-repeats.  One `lp.LPState` lives for the whole call and goes with the grown
-row list to every round's `simplex_max`, so each new cut is absorbed by dual
-simplex from the last optimal basis instead of a solve from scratch.  Level
+optimizer leaves the ball, its witness family yields a norming functional
+h = sum_i w_i f_{S_i} with the valid cut h(x) <= 1, and the loop repeats.
+The w_i are the segment-sum signs (L1 spaces; a signed admissible family)
+or a rational rounding of segment-sum / norm (JT_INF; a molecule).  Each
+cut is a `DualFunctional` checked by `validate_functional` and kept in the
+certificate; its LP row is its coefficient map read at the variables.  One
+`lp.LPState` lives for the whole call and goes with the grown row list to
+every round's `simplex_max`, so each new cut is absorbed by dual simplex
+from the last optimal basis instead of a solve from scratch.  Level
 truncation is exact for cap >= depth(g) because level projections have norm
 one.
 
@@ -36,12 +36,19 @@ from fractions import Fraction
 from math import isqrt
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import ConvergenceError, InvalidFunctionalError, PreconditionError
-from .functionals import DualFunctional, evaluate
+from .errors import ConvergenceError, PreconditionError
+from .functionals import (
+    MOLECULE,
+    SIGNED_FAMILY,
+    DualFunctional,
+    evaluate,
+    is_unit_ball_certified,
+    validate_functional,
+)
 from .lp import LPState, simplex_max
 from .norms import NormResult, norm
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
-from .trees import AdmissibleFamily, Closure, is_admissible, segment_sum
+from .trees import Closure, segment_sum
 
 
 @dataclass(frozen=True)
@@ -52,17 +59,13 @@ class DualNormCertificate:
     lower: Fraction
     upper: Fraction
     witness_vector: SparseVector
-    cuts: tuple[AdmissibleFamily, ...]
+    cuts: tuple[DualFunctional, ...]
     tol: Fraction
     iterations: int
 
     @property
     def exact(self) -> bool:
         return self.lower == self.upper
-
-    @property
-    def gap(self) -> Fraction:
-        return self.upper - self.lower
 
 
 def _variables(g: DualFunctional, space: SpaceSpec, cap: int) -> tuple[Node, ...]:
@@ -115,36 +118,22 @@ def _molecule_cut_weights(sums: list[Fraction], res: NormResult) -> list[Fractio
     return [sig * rho for sig in sums]
 
 
-def _cut_from_witness(
-    res: NormResult, x_hat: SparseVector, space: SpaceSpec
-) -> tuple[tuple[tuple[Fraction, Node, Node], ...], AdmissibleFamily]:
-    """Weights and segments of one valid unit-ball constraint violated by x_hat."""
-    weighted = []
-    kept = []
+def _cut(res: NormResult, x_hat: SparseVector, space: SpaceSpec) -> DualFunctional:
+    """The norming functional of one valid unit-ball constraint violated by x_hat.
+
+    Over the witness segments where x_hat has a nonzero sum: the signs of
+    those sums (L1 spaces; a signed admissible family), or molecule weights
+    (JT_INF).  `validate_functional` checks the class before the cut is used.
+    """
+    sums = [(segment_sum(x_hat, seg), seg) for seg in res.witness.segments]
+    kept = [(s, seg) for s, seg in sums if s != 0]
     if space.aggregates_l1:
-        for seg in res.witness.segments:
-            s = segment_sum(x_hat, seg)
-            if s > 0:
-                weighted.append((Fraction(1), seg.top, seg.bottom))
-                kept.append(seg)
-            elif s < 0:
-                weighted.append((Fraction(-1), seg.top, seg.bottom))
-                kept.append(seg)
-        if not is_admissible(kept, space):
-            raise InvalidFunctionalError("internal error: unsound L1 cut")
+        cut = DualFunctional(tuple((1 if s > 0 else -1, seg) for s, seg in kept), SIGNED_FAMILY)
     else:
-        sums = []
-        for seg in res.witness.segments:
-            s = segment_sum(x_hat, seg)
-            if s != 0:
-                sums.append(s)
-                kept.append(seg)
-        cut_weights = _molecule_cut_weights(sums, res)
-        total_sq = sum((w * w for w in cut_weights), Fraction(0))
-        if total_sq > 1:
-            raise InvalidFunctionalError("internal error: unsound molecule cut")
-        weighted = [(w, seg.top, seg.bottom) for w, seg in zip(cut_weights, kept)]
-    return tuple(weighted), AdmissibleFamily(tuple(kept), space)
+        weights = _molecule_cut_weights([s for s, _ in kept], res)
+        cut = DualFunctional(tuple((w, seg) for w, (_, seg) in zip(weights, kept)), MOLECULE)
+    validate_functional(cut, space)
+    return cut
 
 
 def dual_norm(
@@ -170,7 +159,6 @@ def dual_norm(
         raise PreconditionError(f"functional uses nodes at level {depth} beyond cap {cap}")
 
     variables = _variables(g, space, cap)
-    index = {v: i for i, v in enumerate(variables)}
     coeffs = g.coefficient_map()
     if space.kind is SpaceKind.M_HYP:
         coeffs.pop(ROOT, None)  # the hyperplane never sees the root coordinate
@@ -200,7 +188,7 @@ def dual_norm(
             lower = cand
             witness = scaled_seed
 
-    cuts: list[AdmissibleFamily] = []
+    cuts: list[DualFunctional] = []
     rounds = 0
     while True:
         rounds += 1
@@ -222,19 +210,15 @@ def dual_norm(
             witness = x_hat.scale(rho)
         if not space.aggregates_l1 and upper - lower <= tol:
             break
-        weighted, family = _cut_from_witness(res, x_hat, space)
-        row = [Fraction(0)] * len(variables)
-        for w, top, bottom in weighted:
-            for k in range(len(top), len(bottom) + 1):
-                node = bottom[:k]
-                if node in index:
-                    row[index[node]] += w
+        cut = _cut(res, x_hat, space)
+        cut_map = cut.coefficient_map()
+        row = [cut_map.get(v, Fraction(0)) for v in variables]
         key = tuple(row)
         if key in row_keys:
             raise ConvergenceError("dual_norm stalled on a repeated cut")
         row_keys.add(key)
         rows.append((row, Fraction(1)))
-        cuts.append(family)
+        cuts.append(cut)
 
     return DualNormCertificate(
         lower=lower,
@@ -248,8 +232,6 @@ def dual_norm(
 
 def certify_unit_ball(g: DualFunctional, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) -> bool:
     """Dual norm <= 1, by class when possible, else by cutting planes."""
-    from .functionals import is_unit_ball_certified
-
     if is_unit_ball_certified(g, space):
         return True
     cert = dual_norm(g, space, config=config)

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import InvalidFunctionalError, wire_text
 from .spaces import Node, SparseVector, SpaceSpec
-from .surds import exact_sqrt
 from .trees import Segment, family_disjoint, is_admissible, segment_sum
 
 MOLECULE = "molecule"
@@ -124,15 +123,6 @@ class MoleculeFit:
     segments: tuple[Segment, ...]
     proportions: tuple[Fraction, ...]
     value_sq: Fraction
-
-    def normalized_exactly(self) -> tuple[Fraction, ...] | None:
-        """Exact unit-sphere coefficients when value_sq is a perfect square."""
-        if self.value_sq == 0:
-            return tuple(Fraction(0) for _ in self.proportions)
-        root = exact_sqrt(self.value_sq)
-        if root is None:
-            return None
-        return tuple(p / root for p in self.proportions)
 
 
 def best_molecule(segments: tuple[Segment, ...], x: SparseVector) -> MoleculeFit:

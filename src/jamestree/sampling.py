@@ -18,8 +18,7 @@ def nonzero_fraction(rng: random.Random, numerator_bound: int = 9, denominator_b
 
 
 def random_node(rng: random.Random, space: SpaceSpec, max_level: int, branching: int) -> Node:
-    lo = 1 if space.kind is SpaceKind.M_HYP else 0
-    level = rng.randint(lo, max_level)
+    level = rng.randint(space.min_top_level, max_level)
     width = 2 if space.dyadic else branching
     return tuple(rng.randrange(width) for _ in range(level))
 
@@ -52,8 +51,7 @@ def random_signed_family(
     rng: random.Random, space: SpaceSpec, max_level: int, branching: int = 3
 ) -> DualFunctional:
     """Random admissible family with random +-1 coefficients."""
-    lo = 1 if space.kind is SpaceKind.M_HYP else 0
-    p = rng.randint(lo, max_level)
+    p = rng.randint(space.min_top_level, max_level)
     q = rng.randint(p, max_level)
     width = 2 if space.dyadic else branching
     top_space = width**p

@@ -177,7 +177,7 @@ def dual_cert_to_json(cert: DualNormCertificate) -> dict:
         "tol": fraction_to_str(cert.tol),
         "iterations": cert.iterations,
         "witness_vector": vector_to_json(cert.witness_vector),
-        "cuts": [family_to_json(f) for f in cert.cuts],
+        "cuts": [[segment_to_json(s) for s in cut.segments] for cut in cert.cuts],
         "float_value": float_or_none(cert.upper),
     }
 

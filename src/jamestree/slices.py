@@ -5,10 +5,12 @@ x exceeds sup_A x - alpha; for these spaces the sup over A equals ||x||, so
 membership is the exact test  g(x) > ||x|| - alpha.
 
 The materialized members are representatives: every signed family over the
-canonical enumeration for the L1 spaces; per-family optimal molecules plus a
-coefficient-grid sample for JT_INF.  Diameter reports are one-sided the same
-way the claims are: certified lower bounds from sampled pair distances,
-upper bounds from the scenario bound or the dual triangle inequality.
+canonical enumeration for the L1 spaces; for JT_INF, each family's optimal
+molecule, rescaled by one exact rule whenever it reaches the slice
+(`_rho_for_membership`), plus a coefficient-grid sample.  Diameter reports
+are one-sided the same way the claims are: certified lower bounds from
+sampled pair distances, upper bounds from the scenario bound or the dual
+triangle inequality.
 """
 
 from __future__ import annotations
@@ -60,18 +62,22 @@ class DiameterReport:
 def _rho_for_membership(
     value_sq: Fraction, norm_res: NormResult, alpha: Fraction
 ) -> Fraction | None:
-    """Rational rho with rho^2 * value_sq <= 1 and rho * value_sq > ||x|| - alpha.
+    """Rational rho with rho^2 * value_sq <= 1 and rho * value_sq > ||x|| - alpha,
+    or None when the best molecule misses the slice: sqrt(value_sq) <= ||x|| - alpha.
 
-    Exists whenever sqrt(value_sq) > ||x|| - alpha; refines a one-sided sqrt
-    approximation until the exact membership test passes.
+    Otherwise the inequality is strict, so refining a one-sided sqrt bracket
+    (error 1/(d*scale), 1000-fold finer each round) ends when the exact
+    membership test passes.  On a perfect square the bracket is exact and
+    the first round returns rho = 1/sqrt(value_sq).
     """
+    if sqrt_sum_sign(alpha, 1, value_sq, -1, norm_res.squared) <= 0:
+        return None
     scale = 10**6
-    for _ in range(8):
+    while True:
         rho = sqrt_bounds(value_sq, scale)[0] / value_sq
         if norm_res.exceeds_threshold(rho * value_sq, alpha):
             return rho
         scale *= 10**3
-    return None
 
 
 def _molecule_members(
@@ -94,23 +100,9 @@ def _molecule_members(
         fit = best_molecule(family.segments, spec.x)
         if fit.value_sq == 0:
             continue
-        # the best molecule attains sqrt(value_sq) > ||x|| - alpha, decided exactly
-        if sqrt_sum_sign(spec.alpha, 1, fit.value_sq, -1, norm_res.squared) > 0:
-            exact = fit.normalized_exactly()
-            if exact is not None:
-                add(
-                    (c, seg)
-                    for c, seg in zip(exact, fit.segments)
-                    if c != 0
-                )
-            else:
-                rho = _rho_for_membership(fit.value_sq, norm_res, spec.alpha)
-                if rho is not None:
-                    add(
-                        (s * rho, seg)
-                        for s, seg in zip(fit.proportions, fit.segments)
-                        if s != 0
-                    )
+        rho = _rho_for_membership(fit.value_sq, norm_res, spec.alpha)
+        if rho is not None:  # the best molecule, rescaled into the slice
+            add((s * rho, seg) for s, seg in zip(fit.proportions, fit.segments) if s != 0)
         # coefficient-grid sample on the unit ball
         k = len(family.segments)
         if (2 * grid_den + 1) ** k > config.family_cap:

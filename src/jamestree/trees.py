@@ -25,7 +25,6 @@ literally admissible and evaluates to its core sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
@@ -35,27 +34,9 @@ from .errors import EnumerationCapError, InvalidSegmentError, wire_text
 from .spaces import Node, SparseVector, SpaceSpec
 
 
-class NodeOrder(Enum):
-    EQUAL = "equal"
-    A_ANCESTOR_OF_B = "a_ancestor_of_b"
-    B_ANCESTOR_OF_A = "b_ancestor_of_a"
-    INCOMPARABLE = "incomparable"
-
-
 def is_prefix(a: Node, b: Node) -> bool:
     """True iff a is an ancestor of b or equal to it."""
     return len(a) <= len(b) and b[: len(a)] == a
-
-
-def node_order(a: Node, b: Node) -> NodeOrder:
-    a, b = tuple(a), tuple(b)
-    if a == b:
-        return NodeOrder.EQUAL
-    if is_prefix(a, b):
-        return NodeOrder.A_ANCESTOR_OF_B
-    if is_prefix(b, a):
-        return NodeOrder.B_ANCESTOR_OF_A
-    return NodeOrder.INCOMPARABLE
 
 
 @dataclass(frozen=True)
@@ -98,10 +79,6 @@ def segment_sum(x: SparseVector, seg: Segment) -> Fraction:
     on_chain = [v for n, v in x.entries if p <= len(n) <= q and bottom[: len(n)] == n]
     # starting from the first term saves a Fraction addition per call
     return sum(on_chain[1:], on_chain[0]) if on_chain else Fraction(0)
-
-
-def segment_nodes(segment: Segment) -> tuple[Node, ...]:
-    return segment.nodes()
 
 
 def segments_disjoint(s1: Segment, s2: Segment) -> bool:

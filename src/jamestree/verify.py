@@ -49,7 +49,7 @@ from .spaces import (
     unit_vector,
 )
 from .surds import sqrt_sum_sign
-from .trees import Segment, segments_disjoint
+from .trees import Segment, enumerate_admissible_families, segments_disjoint
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,6 @@ def check_singleton_slice(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
             problems.append(f"eps={eps}: norm {res.value} != 1")
             continue
         # verify the stated bound on every non-optimal family, not assume it
-        from .trees import enumerate_admissible_families
-
         bound = max(1 - eps, 4 * eps)
         for family in enumerate_admissible_families(x.support, JH, config):
             val = evaluate_family(family, x)

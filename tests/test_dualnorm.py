@@ -5,11 +5,18 @@ import pytest
 
 from jamestree.dualnorm import certify_unit_ball, dual_norm
 from jamestree.errors import PreconditionError
-from jamestree.functionals import MOLECULE, DualFunctional, evaluate, segment_functional
+from jamestree.functionals import (
+    MOLECULE,
+    SIGNED_FAMILY,
+    DualFunctional,
+    evaluate,
+    segment_functional,
+    validate_functional,
+)
 from jamestree.norms import norm
 from jamestree.reference import dense_dual_norm_l1, grid_scan_dual_norm_jt
 from jamestree.sampling import random_signed_family, random_vector
-from jamestree.spaces import JH_INF, JT_INF, M_HYP
+from jamestree.spaces import JH, JH_INF, JT_INF, M_HYP
 from jamestree.trees import Closure, Segment, is_admissible
 
 
@@ -111,6 +118,35 @@ def test_certificate_invariants_and_cut_soundness():
         assert is_admissible(family.segments, JH_INF)
 
 
+def test_cuts_are_norming_functionals_in_every_space():
+    # each cut is a validated member of the space's norming set, so it is at
+    # most 1 on the witness vector, which lies in the unit ball
+    rng = random.Random(31)
+    cases = [
+        (
+            JT_INF,
+            DualFunctional(
+                ((Fraction(3, 5), Segment((1,), (1, 0))), (Fraction(4, 5), Segment((2,), (2, 1)))),
+                MOLECULE,
+            ),
+        )
+    ]
+    for space in (JH, JH_INF, M_HYP, JT_INF):
+        for _ in range(4):
+            g = random_signed_family(rng, space, 2) - random_signed_family(rng, space, 2)
+            if g.nodes():
+                cases.append((space, g))
+    cut_count = 0
+    for space, g in cases:
+        cert = dual_norm(g, space, tol=Fraction(1, 10**6))
+        for cut in cert.cuts:
+            assert cut.class_tag == (SIGNED_FAMILY if space.aggregates_l1 else MOLECULE)
+            validate_functional(cut, space)
+            assert evaluate(cut, cert.witness_vector) <= 1
+        cut_count += len(cert.cuts)
+    assert cut_count > len(cases)
+
+
 def test_level_cap_precondition():
     g = segment_functional((1,), (1, 0, 1))
     with pytest.raises(PreconditionError):
@@ -133,7 +169,6 @@ def test_jt_tol_finer_than_cut_resolution_rejected():
 def test_oracle_equivalence_dense_lp():
     # small functionals against the full-constraint-set LP, all three L1 spaces
     from jamestree.dualnorm import _variables
-    from jamestree.spaces import JH
 
     rng = random.Random(29)
     for space in (JH_INF, M_HYP, JH):

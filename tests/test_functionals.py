@@ -31,7 +31,6 @@ def test_best_molecule_examples():
     assert fit.proportions == (Fraction(4, 5), Fraction(1, 5))
     chain = best_molecule((Segment((), (1,)),), x)
     assert chain.value_sq == 1
-    assert chain.normalized_exactly() == (Fraction(1),)
     assert best_molecule((Segment((), (1,)),), SparseVector(())).value_sq == 0
 
 

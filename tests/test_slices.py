@@ -6,7 +6,7 @@ import pytest
 from jamestree.config import DEFAULT_CONFIG
 from jamestree.dualnorm import dual_norm
 from jamestree.errors import ScenarioConstraintError
-from jamestree.functionals import MOLECULE, DualFunctional
+from jamestree.functionals import MOLECULE, DualFunctional, evaluate, validate_functional
 from jamestree.norms import norm
 from jamestree.sampling import random_vector
 from jamestree.slices import (
@@ -16,7 +16,7 @@ from jamestree.slices import (
     slice_members,
 )
 from jamestree.spaces import JH, JH_INF, JT_INF, M_HYP, SparseVector, unit_vector
-from jamestree.surds import Surd
+from jamestree.surds import Surd, sqrt_bounds
 from jamestree.trees import Segment, enumerate_admissible_families
 
 
@@ -60,6 +60,38 @@ def test_jt_slice_leading_coefficient():
         leading = [(c, s) for c, s in g.terms if s.contains(()) and s.contains((1,))]
         assert len(leading) == 1
         assert leading[0][0] > 1 - Fraction(1, 10)
+    # the chain's best molecule has value_sq = 1, so its coefficient is exactly 1
+    assert ((Fraction(1), Segment((), (1,))),) in {g.terms for g in members}
+
+
+def test_perfect_square_best_molecule_is_exact():
+    # value_sq = 1/4: the best molecule on {(1), (2)} is (3/5, 4/5), off the
+    # 1/8 grid, so only its exact rescaling can put it in the slice
+    x = SparseVector((((1,), Fraction(3, 10)), ((2,), Fraction(2, 5))))
+    members = slice_members(SliceSpec(x, Fraction(1, 10), JT_INF))
+    best = DualFunctional(
+        ((Fraction(3, 5), Segment((1,), (1,))), (Fraction(4, 5), Segment((2,), (2,)))), MOLECULE
+    )
+    assert best.terms in {g.terms for g in members}
+
+
+def test_in_slice_best_molecule_is_never_dropped():
+    # alpha lies about 10^-40 above sqrt(3) - sqrt(2), so every two-segment
+    # best molecule (value sqrt(2)) is in the slice by a margin about 10^-40,
+    # far below the error of the first square-root brackets
+    x = unit_vector((1,)) + unit_vector((2,)) + unit_vector((3,))
+    alpha = sqrt_bounds(Fraction(3), 10**40)[1] - sqrt_bounds(Fraction(2), 10**40)[0]
+    res = norm(x, JT_INF)
+    members = slice_members(SliceSpec(x, alpha, JT_INF))
+    for g in members:
+        validate_functional(g, JT_INF)
+        assert res.exceeds_threshold(evaluate(g, x), alpha)
+    singleton = {i: Segment((i,), (i,)) for i in (1, 2, 3)}
+    chain = {i: Segment((), (i,)) for i in (1, 2, 3)}
+    expected = {frozenset((singleton[i], singleton[j])) for i, j in ((1, 2), (1, 3), (2, 3))}
+    expected |= {frozenset((chain[i], singleton[j])) for i in chain for j in singleton if i != j}
+    assert len(expected) == 9
+    assert {frozenset(g.segments) for g in members if len(g.terms) == 2} == expected
 
 
 def test_molecule_grid_follows_the_run_config():

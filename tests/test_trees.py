@@ -15,7 +15,6 @@ from jamestree.spaces import ALL_SPACES, JH, JH_INF, JT_INF, M_HYP
 from jamestree.trees import (
     AdmissibleFamily,
     Closure,
-    NodeOrder,
     Segment,
     _jt_core_candidates,
     aligned_candidates,
@@ -23,36 +22,15 @@ from jamestree.trees import (
     enumerate_admissible_families,
     family_disjoint,
     is_admissible,
+    is_prefix,
     max_index_used,
-    node_order,
-    segment_nodes,
     segments_disjoint,
 )
 
-nodes = st.lists(st.integers(min_value=0, max_value=3), max_size=5).map(tuple)
 
-
-def test_node_order_examples():
-    assert node_order((), (1,)) is NodeOrder.A_ANCESTOR_OF_B
-    assert node_order((1,), (2,)) is NodeOrder.INCOMPARABLE
-    assert node_order((0, 1), (0, 1)) is NodeOrder.EQUAL
-
-
-@given(nodes, nodes)
-def test_node_order_antisymmetry(a, b):
-    order = node_order(a, b)
-    flipped = node_order(b, a)
-    if order is NodeOrder.EQUAL:
-        assert flipped is NodeOrder.EQUAL and a == b
-    elif order is NodeOrder.A_ANCESTOR_OF_B:
-        assert flipped is NodeOrder.B_ANCESTOR_OF_A
-    elif order is NodeOrder.INCOMPARABLE:
-        assert flipped is NodeOrder.INCOMPARABLE
-
-
-def test_segment_nodes_examples():
-    assert segment_nodes(Segment((), (0, 1))) == ((), (0,), (0, 1))
-    assert segment_nodes(Segment((2,), (2,))) == ((2,),)
+def test_segment_chain_examples():
+    assert Segment((), (0, 1)).nodes() == ((), (0,), (0, 1))
+    assert Segment((2,), (2,)).nodes() == ((2,),)
     with pytest.raises(InvalidSegmentError):
         Segment((1,), (0,))
 
@@ -112,7 +90,7 @@ def test_disjoint_extension_fact():
             continue
         below_a = a + tuple(rng.randrange(3) for _ in range(rng.randint(0, 3)))
         below_b = b + tuple(rng.randrange(3) for _ in range(rng.randint(0, 3)))
-        assert node_order(below_a, below_b) is NodeOrder.INCOMPARABLE
+        assert not is_prefix(below_a, below_b) and not is_prefix(below_b, below_a)
 
 
 def test_canonical_reduction_padding():
@@ -138,7 +116,7 @@ def test_avoiding_branch():
     assert len(branch) == 4
     for node in branch:
         for p in paths:
-            assert node_order(node, p) is NodeOrder.INCOMPARABLE
+            assert not is_prefix(node, p) and not is_prefix(p, node)
 
 
 def test_family_sort_key_orders_by_size_then_nodes():
