@@ -16,11 +16,23 @@ is the cold solve from the all-slack basis.  Both loops choose by the
 smallest-index rule (Bland), in pricing and in the ratio tests, which
 prevents cycling.  Problem sizes here are tiny (tens of rows/columns), so a
 dense tableau is the right tool.
+
+The tableau is fraction-free (in the spirit of Bareiss, Math. Comp. 1968):
+each row is a list of integers over one positive row denominator, and the
+reduced costs are integers over one positive denominator too.  A pivot
+scales the pivot row so that its entering entry p is positive and becomes
+its denominator; every other row becomes row*p - f*pivot_row over den*p,
+where f is its entering entry.  One gcd pass then reduces each updated row.
+Every cell is the same rational a Fraction tableau would hold, so every sign
+and ratio test, and hence every pivot, is the same; the ratio tests compare
+cross products, in which the positive denominators cancel.  The values of
+the variables stay Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import JamesTreeError
 
@@ -32,24 +44,50 @@ class LPError(JamesTreeError):
     pass
 
 
+def _integer_row(coeffs: list[Fraction]) -> tuple[list[int], int]:
+    """coeffs as integers over their least common denominator."""
+    den = lcm(*(q.denominator for q in coeffs))
+    return [q.numerator * (den // q.denominator) for q in coeffs], den
+
+
+def _eliminate(row: list[int], den: int, f: int, pivot_row: list[int], p: int) -> tuple[list[int], int]:
+    """row / den - (f / den) * (pivot_row / p) as integers over one
+    denominator, with the gcd of the entries and the denominator divided out.
+    With pivot_row reading p > 0 at a column where row reads f, the result
+    reads 0 there."""
+    out = [rv * p - f * pv for rv, pv in zip(row, pivot_row)]
+    return _reduced(out, den * p)
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """row / den with the gcd of its entries and den divided out."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
 class LPState:
     """The tableau of one LP whose row list only grows between solves.
 
-    Row i of `tableau` reads x_{basis[i]} + sum_j tableau[i][j] x_j = const
-    over nonbasic j; `value` holds every variable's current value, `z` the
-    reduced costs (zero on basic columns), and `rows` the rows absorbed so
-    far, which every later call must repeat as the prefix of its row list.
-    Create one per LP and pass it to every `simplex_max` call on that LP.
+    Row i reads x_{basis[i]} + sum_j (tableau[i][j] / den[i]) x_j = const
+    over nonbasic j, with tableau[i][basis[i]] == den[i] > 0; `value` holds
+    every variable's current value, z[j] / z_den the reduced costs (zero on
+    basic columns, z_den > 0), and `rows` the rows absorbed so far, which
+    every later call must repeat as the prefix of its row list.  Create one
+    per LP and pass it to every `simplex_max` call on that LP.
     """
 
     def __init__(self) -> None:
         self.objective: list[Fraction] | None = None
         self.rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-        self.tableau: list[list[Fraction]] = []
+        self.tableau: list[list[int]] = []
+        self.den: list[int] = []
         self.basis: list[int] = []
         self.value: list[Fraction] = []
         self.lower: list[Fraction] = []
-        self.z: list[Fraction] = []
+        self.z: list[int] = []
+        self.z_den = 1
 
     def _absorb(self, c: list[Fraction], rows: list[tuple[list[Fraction], Fraction]]) -> None:
         """Append the rows not seen yet, each with its slack basic."""
@@ -58,61 +96,64 @@ class LPState:
             self.objective = list(c)
             self.value = [_ZERO] * n
             self.lower = [-_ONE] * n
-            self.z = list(c)
+            self.z, self.z_den = _integer_row(c)
         elif list(c) != self.objective:
             raise LPError("LPState was built for another objective")
         seen = len(self.rows)
-        if len(rows) < seen or any(
-            rhs != old_rhs or tuple(a) != old_a for (a, rhs), (old_a, old_rhs) in zip(rows, self.rows)
-        ):
+        if len(rows) < seen or [(tuple(a), rhs) for a, rhs in rows[:seen]] != self.rows:
             raise LPError("rows do not extend the rows this LPState has absorbed")
         new = rows[seen:]
         if any(rhs < 0 for _, rhs in new):
             raise LPError("simplex_max requires nonnegative right-hand sides")
         if any(len(a) != n for a, _ in new):
             raise LPError("row length mismatch")
-        tableau, basis, value = self.tableau, self.basis, self.value
+        tableau, dens, basis, value = self.tableau, self.den, self.basis, self.value
         for a, rhs in new:
             m = len(basis)
             for old in tableau:
-                old.append(_ZERO)
-            row = list(a) + [_ZERO] * m + [_ONE]
-            for i, b in enumerate(basis):  # eliminate the basic columns
-                coef = row[b]
-                if coef:
-                    row = [rv - coef * pv if pv else rv for rv, pv in zip(row, tableau[i])]
+                old.append(0)
+            row, den = _integer_row(a)
+            row += [0] * m + [den]  # the new slack, coefficient 1
+            for b, prow, pden in zip(basis, tableau, dens):  # eliminate the basic columns
+                f = row[b]
+                if f:
+                    row, den = _eliminate(row, den, f, prow, pden)
             tableau.append(row)
+            dens.append(den)
             basis.append(n + m)
             value.append(rhs - sum((aj * xj for aj, xj in zip(a, value) if aj), _ZERO))
             self.lower.append(_ZERO)
-            self.z.append(_ZERO)
+            self.z.append(0)
             self.rows.append((tuple(a), rhs))
 
     def _pivot(self, leave: int, enter: int) -> None:
-        tableau = self.tableau
+        tableau, dens = self.tableau, self.den
         pivot_row = tableau[leave]
-        piv = pivot_row[enter]
-        if piv != 1:
-            inv = _ONE / piv
-            tableau[leave] = pivot_row = [v * inv if v else _ZERO for v in pivot_row]
+        p = pivot_row[enter]
+        if p < 0:
+            pivot_row, p = [-v for v in pivot_row], -p
+        pivot_row, p = _reduced(pivot_row, p)  # over p it reads 1 at enter
+        tableau[leave], dens[leave] = pivot_row, p
         for i, row in enumerate(tableau):
             if i == leave:
                 continue
-            factor = row[enter]
-            if factor:
-                tableau[i] = [rv - factor * pv if pv else rv for rv, pv in zip(row, pivot_row)]
-        factor = self.z[enter]
-        self.z = [zv - factor * pv if pv else zv for zv, pv in zip(self.z, pivot_row)]
+            f = row[enter]
+            if f:
+                tableau[i], dens[i] = _eliminate(row, dens[i], f, pivot_row, p)
+        f = self.z[enter]
+        if f:
+            self.z, self.z_den = _eliminate(self.z, self.z_den, f, pivot_row, p)
         self.basis[leave] = enter
 
     def _move(self, enter: int, delta: Fraction) -> None:
         """Move nonbasic x_enter by delta; the basic variables follow."""
         value = self.value
         value[enter] += delta
-        for row, b in zip(self.tableau, self.basis):
+        num, den = delta.numerator, delta.denominator
+        for row, row_den, b in zip(self.tableau, self.den, self.basis):
             coef = row[enter]
             if coef:
-                value[b] -= coef * delta
+                value[b] -= Fraction(coef * num, row_den * den)
 
     def _dual_simplex(self, n: int) -> None:
         """Pivot basic variables back inside their bounds, keeping z dual feasible."""
@@ -130,20 +171,23 @@ class LPState:
             target = lower[r] if value[r] < lower[r] else _ONE
             rise = target > value[r]
             # x_r changes by -t per unit of x_j; x_j must move the way that
-            # carries x_r towards target and that its own bounds allow
-            enter, best = -1, None
-            for j, t in enumerate(self.tableau[leave]):
+            # carries x_r towards target and that its own bounds allow.  The
+            # least ratio |z_j / t_j| wins; the positive denominators of the
+            # row and of z cancel from the cross-multiplied comparison
+            row, z = self.tableau[leave], self.z
+            enter, best_z, best_t = -1, 0, 1
+            for j, t in enumerate(row):
                 if not t or j == r:
                     continue
                 up = (t < 0) == rise
                 if up and j < n and value[j] >= 1 or not up and value[j] <= lower[j]:
                     continue
-                ratio = abs(self.z[j] / t)
-                if best is None or ratio < best:
-                    enter, best = j, ratio
+                zj, tj = abs(z[j]), abs(t)
+                if enter < 0 or zj * best_t < best_z * tj:
+                    enter, best_z, best_t = j, zj, tj
             if enter < 0:
                 raise LPError("internal error: infeasible LP with nonnegative right-hand sides")
-            self._move(enter, (value[r] - target) / self.tableau[leave][enter])
+            self._move(enter, (value[r] - target) * Fraction(self.den[leave], row[enter]))
             self._pivot(leave, enter)
 
     def _primal_simplex(self, n: int) -> None:
@@ -165,11 +209,11 @@ class LPState:
             leave = -1
             blocker = enter
             for i, b in enumerate(self.basis):
-                rate = sign * self.tableau[i][enter]  # x_b falls at this rate
+                rate = sign * self.tableau[i][enter]  # x_b falls at rate / den[i]
                 if rate > 0:
-                    t = (value[b] - lower[b]) / rate
+                    t = (value[b] - lower[b]) * Fraction(self.den[i], rate)
                 elif rate < 0 and b < n:
-                    t = (1 - value[b]) / -rate
+                    t = (1 - value[b]) * Fraction(self.den[i], -rate)
                 else:
                     continue
                 if step is None or t < step or (t == step and b < blocker):

@@ -17,6 +17,7 @@ from math import lcm
 from typing import Callable
 
 from .config import DEFAULT_CONFIG, RunConfig
+from .errors import CertificationError
 from .spaces import Node, SparseVector, SpaceKind, SpaceSpec
 from .surds import sqrt_bounds
 from .trees import (
@@ -203,7 +204,10 @@ def dense_dual_norm_l1(
     signed canonical family constraint; a single exact simplex solve over all
     of them gives the same optimum as enumerating the polytope's vertices.
     The box |x_t| <= 1 holds on that ball and the solver keeps it as variable
-    bounds, so only the signed-family rows are built.
+    bounds, so only the signed-family rows are built.  The solver is the
+    engine's own `lp.simplex_max`, so its optimizer is re-checked through the
+    norm oracle alone: it must lie in the unit ball and attain the value, or
+    CertificationError is raised.
     """
     from .lp import simplex_max
 
@@ -226,7 +230,12 @@ def dense_dual_norm_l1(
                     row[k] += sign * c
             rows.append((row, Fraction(1)))
     objective = [g_coeffs.get(v, Fraction(0)) for v in variables]
-    value, _ = simplex_max(objective, rows)
+    value, x = simplex_max(objective, rows)
+    optimizer = SparseVector(tuple((v, xv) for v, xv in zip(variables, x) if xv))
+    if naive_norm(optimizer, space, config)[0] > 1:
+        raise CertificationError("dense LP optimizer lies outside the unit ball")
+    if sum((g_coeffs.get(v, Fraction(0)) * xv for v, xv in optimizer.entries), Fraction(0)) != value:
+        raise CertificationError("dense LP optimizer does not attain the LP value")
     return value
 
 

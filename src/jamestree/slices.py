@@ -21,7 +21,7 @@ from itertools import product
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .dualnorm import dual_norm
-from .errors import EnumerationCapError, PreconditionError, ScenarioConstraintError
+from .errors import CertificationError, EnumerationCapError, PreconditionError, ScenarioConstraintError
 from .functionals import MOLECULE, SIGNED_FAMILY, DualFunctional, best_molecule
 from .norms import NormResult, norm
 from .spaces import SparseVector, SpaceKind, SpaceSpec
@@ -202,7 +202,9 @@ def slice_diameter(
     lower: best certified pair distance (dual_norm lower bounds are attained
     by explicit unit vectors, so this genuinely bounds the slice diameter
     from below).  upper: scenario bound when given, else the dual triangle
-    bound 2 (members are certified inside the dual unit ball).
+    bound 2 (members are certified inside the dual unit ball).  Raises
+    CertificationError when the certified lower exceeds the upper: the bound
+    does not hold for this slice.
     """
     members = slice_members(spec, config)
     lower = Fraction(0)
@@ -222,6 +224,8 @@ def slice_diameter(
     else:
         upper = Fraction(2) if members else Fraction(0)
         provenance = "dual_triangle"
+    if upper.compare(lower) < 0 if isinstance(upper, Surd) else upper < lower:
+        raise CertificationError(f"certified lower bound {lower} exceeds the {scenario or provenance} bound")
     return DiameterReport(
         lower=lower,
         lower_witness_pair=pair,

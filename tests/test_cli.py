@@ -113,6 +113,30 @@ def test_diameter_53_scenario(tmp_path, capsys):
     assert doc["upper"] == "5/3"
 
 
+@pytest.mark.parametrize(
+    "doc, argv, lower",
+    [
+        (  # the JH_ZERO bound 0 is for criterion 2's seven-node vector, not e_(0)
+            {"space": "JH", "entries": [{"node": [0], "value": "1"}]},
+            ("--alpha", "1/20", "--scenario", "JH_ZERO", "--epsilon", "1/5"),
+            "1",
+        ),
+        (  # the pair f_[(),()] and -f_[(1,2),(1,2)] is 2 apart, above 5/3
+            {"space": "JH_INF", "entries": [{"node": [], "value": "1"}, {"node": [1, 2], "value": "-35/36"}]},
+            ("--alpha", "1/20", "--scenario", "JHINF_53"),
+            "2",
+        ),
+    ],
+)
+def test_diameter_never_reports_lower_above_upper(tmp_path, capsys, doc, argv, lower):
+    path = write(tmp_path, "x.json", doc)
+    code, out = run_cli(capsys, "diameter", path, *argv)
+    assert code == 2
+    err = json.loads(out)
+    assert err["error"] == "CertificationError"
+    assert err["message"].startswith(f"certified lower bound {lower} exceeds")
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"space": "JH", "entries": [{"node": [5], "value": "1"}]})
     code, out = run_cli(capsys, "norm", path)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jamestree.dualnorm import certify_unit_ball, dual_norm
-from jamestree.errors import PreconditionError
+from jamestree.errors import CertificationError, PreconditionError
 from jamestree.functionals import (
     MOLECULE,
     SIGNED_FAMILY,
@@ -18,6 +18,7 @@ from jamestree.reference import dense_dual_norm_l1, grid_scan_dual_norm_jt
 from jamestree.sampling import random_signed_family, random_vector
 from jamestree.spaces import JH, JH_INF, JT_INF, M_HYP
 from jamestree.trees import Closure, Segment, is_admissible
+from test_lp import _time_limit
 
 
 def test_single_segment_functional_is_unit():
@@ -166,6 +167,23 @@ def test_jt_tol_finer_than_cut_resolution_rejected():
     assert dual_norm(g, JH_INF, tol=Fraction(1, 10**30)).exact  # L1 spaces are exact; tol is unused
 
 
+def test_jt_tol_at_the_guard_converges():
+    # the finest tol the guard admits, on a functional whose coefficients
+    # span six orders of magnitude: 151 cut rounds
+    g = DualFunctional(
+        (
+            (Fraction(1, 10**6), Segment((), (0,))),
+            (Fraction(1), Segment((1,), (1, 2))),
+            (Fraction(-2, 3), Segment((2,), (2,))),
+        ),
+        "general",
+    )
+    tol = sum(abs(c) for c in g.coefficient_map().values()) / 10**12
+    with _time_limit(30):
+        cert = dual_norm(g, JT_INF, tol=tol)
+    assert cert.lower <= cert.upper <= cert.lower + tol
+
+
 def test_oracle_equivalence_dense_lp():
     # small functionals against the full-constraint-set LP, all three L1 spaces
     from jamestree.dualnorm import _variables
@@ -185,6 +203,26 @@ def test_oracle_equivalence_dense_lp():
                 coeffs.pop((), None)
             dense = dense_dual_norm_l1(coeffs, variables, space)
             assert cert.lower == dense == cert.upper, (space.kind, diff.terms)
+
+
+def test_dense_lp_route_rechecks_its_optimizer(monkeypatch):
+    # the oracle's LP is the engine's solver; a wrong optimizer from it must
+    # not pass silently
+    from jamestree import lp
+    from jamestree.dualnorm import _variables
+
+    g = segment_functional((), (1,)) - segment_functional((0,), (0,))
+    variables = _variables(g, JH_INF, g.depth())
+    coeffs = g.coefficient_map()
+    assert dense_dual_norm_l1(coeffs, variables, JH_INF) == 2
+    solve = lp.simplex_max
+    for corrupt in (
+        lambda value, x: (value, [2 * v for v in x]),  # leaves the unit ball
+        lambda value, x: (value + 1, x),  # does not attain the value
+    ):
+        monkeypatch.setattr(lp, "simplex_max", lambda c, rows, state=None: corrupt(*solve(c, rows, state)))
+        with pytest.raises(CertificationError):
+            dense_dual_norm_l1(coeffs, variables, JH_INF)
 
 
 def test_oracle_equivalence_grid_scan_jt():
