@@ -10,12 +10,13 @@ largest absolute chain sum under each (chains under distinct level-p nodes
 never conflict, and no two admissible segments can share a level-p node).
 The subtree of each top is walked once and yields its optimum for every
 bottom level q at once; only the windows that attain the largest total are
-turned into segments.  For JT_INF one packing DP over the support closure,
-keyed lexicographically in integers (norm² times scale², then the negated
-segment and node counts), gives the value, and reruns of it with the chosen
-nodes blocked build the witness greedily.  The naive exhaustive oracle
-lives in `reference` and is used in tests only; both routes must agree
-exactly.
+turned into segments.  For JT_INF one packing DP over the support closure
+gives the value.  Its key (norm² times scale², then the negated segment and
+node counts) is packed into one integer whose order is the lex order.  The
+witness is built greedily: each probe blocks one more chain and recomputes
+only the DP entries on the root path of the chain's bottom, since no other
+subtree holds a newly blocked node.  The naive exhaustive oracle lives in
+`reference` and is used in tests only; both routes must agree exactly.
 
 Witnesses are deterministic: the attaining family that is first in the
 canonical enumeration order (segment count, then node count, then lex).
@@ -201,69 +202,89 @@ def _jt_candidates(x: SparseVector, closure: Closure, sums, config: RunConfig):
     return cands
 
 
-_EMPTY_KEY = (0, 0, 0)  # (scale² · sum of squares, -segment count, -node count)
+def _jt_radix(closure: Closure) -> int:
+    """Radix W of the packed DP key `a·W² − segments·W − nodes`.
 
-
-def _plus(a: tuple, b: tuple) -> tuple:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _jt_value_sq(closure: Closure, sums, blocked: frozenset = frozenset()) -> tuple:
-    """Lex-largest key of a family of closure chains that avoid `blocked`.
-
-    A node heads either no chain, and its children's subtrees add up, or one
-    nonzero-sum chain, beside the subtrees hanging off it.  Every key part
-    adds over disjoint subtrees, so the lex-max composes.  Part 0 is norm²
-    times scale², for `sums` and `scale` from `scaled_prefix_sums`.
+    `a` is norm² times scale².  Both counts of a family of closure chains are
+    at most |closure| < W/4, so integer order is the lex order of
+    (a, −segments, −nodes), and sums over disjoint parts stay exact.
     """
+    return 4 * (len(closure.nodes) + 1)
+
+
+def _jt_fill(
+    closure: Closure, sums, blocked: frozenset, order, dp: dict, below: dict
+) -> tuple[dict, dict]:
+    """Set the packed DP entries of the nodes of `order`, children first.
+
+    A node heads either no chain, and its children's subtrees add up
+    (`below`), or one nonzero-sum chain avoiding `blocked`, beside the
+    subtrees hanging off it.  Keys add over disjoint subtrees, so the max
+    composes.  Entries of nodes outside `order` are read as they stand.
+    """
+    radix = _jt_radix(closure)
+    unit = radix * radix
     children = closure.children
-    dp: dict[Node, tuple] = {}
-    below: dict[Node, tuple] = {}  # key of the children's subtrees
-    for node in sorted(closure.nodes, key=len, reverse=True):
-        rest = _EMPTY_KEY
-        for c in children[node]:
-            rest = _plus(rest, dp[c])
+    for node in order:
+        rest = sum(dp[c] for c in children[node])
         below[node] = best = rest
         if node not in blocked:
             above = sums[node[:-1]] if node else 0
+            base = len(node) - 1 - radix  # node..bottom has len(bottom) - len(node) + 1 nodes
             stack = [(node, rest)]  # (bottom, key hanging off node..bottom)
             while stack:
                 bottom, hang = stack.pop()
                 s = sums[bottom] - above
                 if s:
-                    best = max(best, _plus(hang, (s * s, -1, len(node) - len(bottom) - 1)))
+                    key = hang + s * s * unit + base - len(bottom)
+                    if key > best:
+                        best = key
                 for c in children[bottom]:
                     if c not in blocked:
-                        key = tuple(h - d + b for h, d, b in zip(hang, dp[c], below[c]))
-                        stack.append((c, key))
+                        stack.append((c, hang - dp[c] + below[c]))
         dp[node] = best
-    return dp.get(ROOT, _EMPTY_KEY)  # the zero vector has an empty closure
+    return dp, below
 
 
-def _jt_witness(goal: tuple, closure: Closure, sums, cands) -> AdmissibleFamily:
+def _jt_value_sq(closure: Closure, sums, blocked: frozenset = frozenset()) -> tuple[dict, dict]:
+    """The packed DP tables `(dp, below)` of the whole closure, avoiding
+    `blocked`.  `dp[ROOT]` is the largest key of a family of closure chains;
+    its `a` is norm² times scale², for `sums` and `scale` from
+    `scaled_prefix_sums`.  The zero vector has an empty closure and tables."""
+    return _jt_fill(closure, sums, blocked, reversed(closure.sorted_nodes), {}, {})
+
+
+def _jt_witness(goal: int, closure: Closure, sums, cands, tables) -> AdmissibleFamily:
     """First attaining family in canonical order (count, node count, lex).
 
     The families with the fewest segments, then nodes, that attain the norm
     are those with key `goal`, so the witness is their lex-least sorted tuple.
     One pass over `cands`, in `Segment.sort_key` order, keeps a segment when
-    some `goal` family contains it and the kept ones (a DP with their nodes
-    blocked decides this); a segment rejected once stays infeasible as more
-    are kept.
+    some `goal` family contains it and the kept ones; a segment rejected once
+    stays infeasible as more are kept.  `tables` are the DP with the kept
+    nodes blocked.  Blocking a chain changes only the entries of its bottom
+    and that bottom's ancestors, so a probe recomputes that root path alone,
+    deepest first, on a copy that becomes current when the segment is kept.
     """
+    radix = _jt_radix(closure)
+    unit = radix * radix
+    dp, below = tables
     kept: list[Segment] = []
     blocked: frozenset = frozenset()
-    acc = _EMPTY_KEY
+    acc = 0
     for seg, s in cands:
         if acc == goal:
             break
         nodes = seg.nodes()
         if blocked.intersection(nodes):
             continue
-        step = _plus(acc, (s * s, -1, -len(nodes)))
+        step = acc + s * s * unit - radix - len(nodes)
         trial = blocked.union(nodes)
-        if _plus(step, _jt_value_sq(closure, sums, trial)) == goal:
+        path = [seg.bottom[:k] for k in range(len(seg.bottom), -1, -1)]
+        trial_dp, trial_below = _jt_fill(closure, sums, trial, path, dict(dp), dict(below))
+        if step + trial_dp[ROOT] == goal:
             kept.append(seg)
-            blocked, acc = trial, step
+            blocked, acc, dp, below = trial, step, trial_dp, trial_below
     if acc != goal:
         raise JamesTreeError("internal error: no family attains the computed norm")
     return AdmissibleFamily(tuple(kept), SpaceSpec(SpaceKind.JT_INF))
@@ -281,10 +302,13 @@ def norm(x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) 
 
     closure = Closure(x.support)
     sums, scale = scaled_prefix_sums(x, closure)
-    goal = _jt_value_sq(closure, sums)
+    tables = _jt_value_sq(closure, sums)
+    goal = tables[0].get(ROOT, 0)  # the zero vector has an empty closure
     cands = _jt_candidates(x, closure, sums, config)
-    witness = _jt_witness(goal, closure, sums, cands)
-    return NormResult(space, None, Fraction(goal[0], scale * scale), witness)
+    witness = _jt_witness(goal, closure, sums, cands, tables)
+    unit = _jt_radix(closure) ** 2
+    # the count part of the key lies in [0, unit/4), so rounding recovers `a`
+    return NormResult(space, None, Fraction((goal + unit // 2) // unit, scale * scale), witness)
 
 
 def evaluate_family(family: AdmissibleFamily, x: SparseVector) -> Fraction:

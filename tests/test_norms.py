@@ -1,13 +1,17 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from jamestree import norms
 from jamestree.config import RunConfig
 from jamestree.errors import EnumerationCapError
 from jamestree.norms import NormResult, evaluate_family, literal_norm_sq_jt, norm
 from jamestree.reference import naive_norm
 from jamestree.sampling import nonzero_fraction, random_node, random_vector
+from jamestree.schemas import norm_result_to_json
 from jamestree.spaces import (
     ALL_SPACES,
     JH,
@@ -124,6 +128,74 @@ def test_engine_matches_oracle_including_witness_key():
     a, b, c = Fraction(1, 10007), Fraction(2, 9), Fraction(-3, 65537)
     x = SparseVector((((), a), ((0,), b), ((0, 0), c), ((1,), b), ((1, 0), c)))
     assert _assert_engine_matches_oracle(x, JT_INF) == (a + b) ** 2 + b * b + 2 * c * c
+
+
+def test_jt_norm_results_are_pinned():
+    # value and witness of 1500 seeded JT_INF vectors, hashed as JSON records
+    rng = random.Random(2017)
+    digest = hashlib.sha256()
+    for _ in range(1500):
+        x = random_vector(rng, JT_INF, max_level=rng.randint(1, 5), max_nodes=rng.randint(1, 9), branching=3)
+        record = json.dumps(norm_result_to_json(norm(x, JT_INF)), sort_keys=True, separators=(",", ":"))
+        digest.update(record.encode() + b"\n")
+    assert digest.hexdigest() == "2b4b75c0dd94f1557529137695a37e82d4c506806b618a93671ecbc9ee4df4ba"
+
+
+def _vector(*entries):
+    return SparseVector(tuple((node, Fraction(value)) for node, value in entries))
+
+
+@pytest.mark.parametrize(
+    "x, counts",
+    [
+        # maximisers with (segments, nodes) = (2, 5), (4, 4) and (4, 5)
+        (_vector(((), -2), ((0,), 1), ((0, 0, 0), -2), ((1,), 3)), (2, 5)),
+        # maximisers with (2, 2) and (2, 3)
+        (_vector(((0,), -1), ((0, 1), 1)), (2, 2)),
+        # every closure node is its own segment: the largest counts the key holds
+        (_vector(*(((0,) * k, (-1) ** k) for k in range(6))), (6, 6)),
+    ],
+    ids=["segments-before-nodes", "nodes-decide", "counts-fill-the-closure"],
+)
+def test_packed_jt_key_orders_segments_then_nodes(x, counts):
+    assert _assert_engine_matches_oracle(x, JT_INF) > 0
+    assert norm(x, JT_INF).witness.sort_key()[:2] == counts
+
+
+def _support_vector(rng, size):
+    entries = {}
+    while len(entries) < size:
+        entries.setdefault(random_node(rng, JT_INF, 5, 3), nonzero_fraction(rng))
+    return SparseVector(tuple(entries.items()))
+
+
+def test_witness_path_updates_equal_full_reruns(monkeypatch):
+    # Each witness probe recomputes one root path of the DP tables; every
+    # table it leaves must be the DP run from scratch with the same nodes
+    # blocked.  The sizes reach the 14-, 18- and 24-node vectors of the
+    # norm-jt benchmark, beyond the oracle.
+    rng = random.Random(61)
+    xs = [random_vector(rng, JT_INF, max_level=4, max_nodes=8) for _ in range(40)]
+    xs += [_support_vector(rng, size) for size in (14, 18, 24) for _ in range(3)]
+    fills = []
+    original = norms._jt_fill
+
+    def spy(closure, sums, blocked, order, dp, below):
+        tables = original(closure, sums, blocked, order, dp, below)
+        fills.append((closure, sums, blocked, dict(tables[0]), dict(tables[1])))
+        return tables
+
+    monkeypatch.setattr(norms, "_jt_fill", spy)
+    results = [norm(x, JT_INF) for x in xs]
+    monkeypatch.undo()
+    probes = 0
+    for closure, sums, blocked, dp, below in fills:
+        assert (dp, below) == norms._jt_value_sq(closure, sums, blocked)
+        probes += bool(blocked)
+    assert probes > len(xs)
+    for x, res in zip(xs, results):
+        assert is_admissible(res.witness.segments, JT_INF)
+        assert evaluate_family(res.witness, x) == res.value_sq
 
 
 def test_naive_norm_is_exact_first_maximum_of_the_stream():
