@@ -8,9 +8,15 @@ parent.  For the level-aligned (L1) spaces the norm is the best (p, q) level
 window, and a window's optimum is the sum, over the level-p nodes, of the
 largest absolute chain sum under each (chains under distinct level-p nodes
 never conflict, and no two admissible segments can share a level-p node).
-The subtree of each top is walked once and yields its optimum for every
-bottom level q at once; only the windows that attain the largest total are
-turned into segments.  For JT_INF one packing DP over the support closure
+One children-first pass bounds each top level p by the sum, over its
+tops, of the largest absolute chain sum in the top's subtree; that bound is
+at least every window total at level p, and equals the q = depth total when
+every node is extendable (JH_INF, M_HYP).  Levels are visited in decreasing
+bound order, and a level whose bound falls strictly below the best total
+found so far is skipped, so no attaining window is lost.  The subtree of each
+visited top is walked once and yields its optimum for every bottom level q at
+once; only the windows that attain the largest total are turned into
+segments.  For JT_INF one packing DP over the support closure
 gives the value.  Its key (norm² times scale², then the negated segment and
 node counts) is packed into one integer whose order is the lex order.  The
 witness is built greedily: each probe blocks one more chain and recomputes
@@ -139,21 +145,57 @@ def _top_optima(
     return optima
 
 
+def _level_bounds(closure: Closure, sums: dict[Node, int], p_min: int) -> dict[int, int]:
+    """Upper bound on every window total at top level p, for each p >= `p_min`.
+
+    One children-first pass gives each node the largest and least scaled
+    prefix sum in its subtree.  With `base` the sum at a top's parent, the
+    larger of `hi - base` and `base - lo` is the largest absolute chain sum
+    from that top down to any subtree node, which is at least the top's
+    optimum for every bottom level q (each subtree node is a core bottom at
+    its own level).  The bound of p sums that over the level-p tops; it is
+    the q = depth total when every node is extendable.
+    """
+    children = closure.children
+    hi: dict[Node, int] = {}
+    lo: dict[Node, int] = {}
+    bounds = dict.fromkeys(range(p_min, closure.max_level + 1), 0)
+    for u in reversed(closure.sorted_nodes):
+        h = l = sums[u]
+        for c in children[u]:
+            if hi[c] > h:
+                h = hi[c]
+            if lo[c] < l:
+                l = lo[c]
+        hi[u], lo[u] = h, l
+        if len(u) >= p_min:
+            base = sums[u[:-1]] if u else 0
+            bounds[len(u)] += max(h - base, base - l)
+    return bounds
+
+
 def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormResult:
     """Norm of a level-aligned space: the best (p, q) window, in integers.
 
-    Chain sums are integers over `scale` (`scaled_prefix_sums`).  Each top
-    at level p >= `space.min_top_level` has its subtree walked once
-    (`_top_optima`); a window's total is the sum of its tops' optima.  Only
-    the windows that attain the largest total are materialized, and of those
-    the family first in canonical order is the witness.
+    Chain sums are integers over `scale` (`scaled_prefix_sums`).  Top levels
+    p >= `space.min_top_level` are visited in decreasing `_level_bounds`
+    order, and each top of a visited level has its subtree walked once
+    (`_top_optima`); a window's total is the sum of its tops' optima.  A
+    level whose bound is strictly below the best total so far holds no
+    attaining window, so it and every level after it are skipped.  Only the
+    windows that attain the largest total are materialized, and of those the
+    family first in canonical order is the witness.
     """
     closure = Closure(x.support)
     sums, scale = scaled_prefix_sums(x, closure)
     p_min, depth = space.min_top_level, closure.max_level
+    bounds = _level_bounds(closure, sums, p_min)
     optima: dict[Node, list[tuple[int, list[Node]]]] = {}
     totals: dict[tuple[int, int], int] = {}
-    for p in range(p_min, depth + 1):
+    best_total = 0
+    for p in sorted(bounds, key=bounds.__getitem__, reverse=True):
+        if bounds[p] < best_total:
+            break
         row = [0] * (depth - p + 1)
         for u in closure.by_level[p]:
             optima[u] = _top_optima(closure, sums, u, space)
@@ -161,8 +203,8 @@ def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormR
                 row[d] += best
         for d, total in enumerate(row):
             totals[p, p + d] = total
+        best_total = max(best_total, *row)
 
-    best_total = max(totals.values(), default=0)
     if best_total == 0:
         return NormResult(space, Fraction(0), None, AdmissibleFamily((), space))
     fresh = max_index_used(x.support) + 1
@@ -188,7 +230,10 @@ def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormR
 
 
 def _jt_candidates(x: SparseVector, closure: Closure, sums, config: RunConfig):
-    """Support-meeting closure chains with nonzero sum, in canonical order."""
+    """Support-meeting closure chains with nonzero sum, in canonical order.
+
+    Tops in lex order, each with its bottoms in lex order, are already in
+    `Segment.sort_key` order."""
     cands: list[tuple[Segment, int]] = []
     for top in closure.sorted_nodes:
         above = sums[top[:-1]] if top else 0
@@ -198,7 +243,6 @@ def _jt_candidates(x: SparseVector, closure: Closure, sums, config: RunConfig):
                 cands.append((Segment(top, bottom), s))
                 if len(cands) > config.candidate_cap:
                     raise EnumerationCapError(f"candidate segments exceeded cap {config.candidate_cap}")
-    cands.sort(key=lambda cs: cs[0].sort_key())
     return cands
 
 

@@ -24,6 +24,7 @@ literally admissible and evaluates to its core sums.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -154,13 +155,14 @@ class Closure:
         self.max_level: int = max(by_level, default=-1)
 
     def descendants_or_self(self, node: Node) -> tuple[Node, ...]:
-        out = [node]
-        stack = list(self.children[node])
-        while stack:
-            cur = stack.pop()
-            out.append(cur)
-            stack.extend(self.children[cur])
-        return tuple(sorted(out))
+        """The closure nodes under `node`, itself included, in lex order.
+
+        In `sorted_nodes` they are the contiguous run from `node` up to its
+        successor key, the next sibling index under the same parent."""
+        if not node:
+            return self.sorted_nodes
+        start = bisect_left(self.sorted_nodes, node)
+        return self.sorted_nodes[start : bisect_left(self.sorted_nodes, node[:-1] + (node[-1] + 1,), start)]
 
     def extendable(self, node: Node, space: SpaceSpec) -> bool:
         """Can a chain stop here and continue through zero-valued fresh nodes?

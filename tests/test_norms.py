@@ -29,6 +29,7 @@ from jamestree.trees import (
     enumerate_admissible_families,
     is_admissible,
     literal_chain_subsets,
+    scaled_prefix_sums,
 )
 from jamestree.verify import _triangle_ok
 
@@ -141,6 +142,78 @@ def test_jt_norm_results_are_pinned():
     assert digest.hexdigest() == "2b4b75c0dd94f1557529137695a37e82d4c506806b618a93671ecbc9ee4df4ba"
 
 
+def test_l1_norm_results_are_pinned():
+    # value and witness of 600 seeded JH, JH_INF and M_HYP vectors with 1 to
+    # 48 support nodes, hashed as JSON records
+    rng = random.Random(2018)
+    digest = hashlib.sha256()
+    for space in (JH, JH_INF, M_HYP):
+        for _ in range(200):
+            x = _support_vector(rng, rng.randint(1, 48), space)
+            record = json.dumps(norm_result_to_json(norm(x, space)), sort_keys=True, separators=(",", ":"))
+            digest.update(record.encode() + b"\n")
+    assert digest.hexdigest() == "1467f3029d36f85f39376351750de069cfdac0ef5b1f9a78798c200e0e45db3f"
+
+
+def _window_totals(x, space):
+    """The closure, the sweep's level bounds, and every window total: (p, q)
+    -> the sum of the level-p tops' optima."""
+    closure = Closure(x.support)
+    sums, _ = scaled_prefix_sums(x, closure)
+    bounds = norms._level_bounds(closure, sums, space.min_top_level)
+    totals = {}
+    for p in bounds:
+        for u in closure.by_level[p]:
+            for d, (best, _) in enumerate(norms._top_optima(closure, sums, u, space)):
+                totals[p, p + d] = totals.get((p, p + d), 0) + best
+    return closure, bounds, totals
+
+
+def test_level_bounds_cover_every_window():
+    # The bound of level p is at least each of its window totals, and is the
+    # q = depth total when every node is extendable.  In the dyadic JH a
+    # node with both children present stops the chains that end there, so
+    # the bound can exceed every total of its level; the sweep prunes on a
+    # strict comparison and never assumes equality.
+    rng = random.Random(83)
+    strict = 0
+    for space in (JH, JH_INF, M_HYP):
+        for _ in range(60):
+            x = _support_vector(rng, rng.randint(1, 24), space)
+            closure, bounds, totals = _window_totals(x, space)
+            assert sorted(bounds) == list(range(space.min_top_level, closure.max_level + 1))
+            for (p, q), total in totals.items():
+                assert bounds[p] >= total, (space.kind, x.entries, p, q)
+            for p, bound in bounds.items():
+                if not space.dyadic:
+                    assert bound == totals[p, closure.max_level], (space.kind, x.entries, p)
+                strict += bound > max(totals[p, q] for q in range(p, closure.max_level + 1))
+    assert strict > 0
+
+
+def test_aligned_sweep_skips_levels(monkeypatch):
+    # Levels whose bound is below the best total found are never walked, so
+    # fewer tops are walked than the closures hold; the results stay those
+    # of the pinned engine above and of the oracle in the tie test below.
+    rng = random.Random(89)
+    calls = []
+    original = norms._top_optima
+
+    def spy(closure, sums, top, space):
+        calls.append(top)
+        return original(closure, sums, top, space)
+
+    monkeypatch.setattr(norms, "_top_optima", spy)
+    tops = 0
+    for space in (JH, JH_INF, M_HYP):
+        for _ in range(30):
+            x = _support_vector(rng, rng.randint(6, 48), space)
+            res = norm(x, space)
+            assert evaluate_family(res.witness, x) == res.value
+            tops += sum(1 for node in Closure(x.support).nodes if len(node) >= space.min_top_level)
+    assert 0 < len(calls) < tops, (len(calls), tops)
+
+
 def _vector(*entries):
     return SparseVector(tuple((node, Fraction(value)) for node, value in entries))
 
@@ -162,10 +235,10 @@ def test_packed_jt_key_orders_segments_then_nodes(x, counts):
     assert norm(x, JT_INF).witness.sort_key()[:2] == counts
 
 
-def _support_vector(rng, size):
+def _support_vector(rng, size, space=JT_INF):
     entries = {}
     while len(entries) < size:
-        entries.setdefault(random_node(rng, JT_INF, 5, 3), nonzero_fraction(rng))
+        entries.setdefault(random_node(rng, space, 5, 3), nonzero_fraction(rng))
     return SparseVector(tuple(entries.items()))
 
 

@@ -185,3 +185,18 @@ def test_segments_disjoint_matches_node_sets():
         s1, s2 = rand_seg(), rand_seg()
         expected = not (set(s1.nodes()) & set(s2.nodes()))
         assert segments_disjoint(s1, s2) == expected
+
+
+def test_descendants_or_self_is_the_prefix_run():
+    # the lex-sorted run from a node to its successor key holds exactly its
+    # descendants; child indices past 9 and gaps between siblings included
+    rng = random.Random(97)
+    for _ in range(60):
+        support = {
+            tuple(rng.randrange(rng.choice((2, 3, 12))) for _ in range(rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 10))
+        }
+        closure = Closure(support)
+        for node in closure.sorted_nodes:
+            expected = tuple(n for n in closure.sorted_nodes if is_prefix(node, n))
+            assert closure.descendants_or_self(node) == expected, (support, node)
