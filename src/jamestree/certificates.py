@@ -166,16 +166,10 @@ def sd2p_witnesses(
     separating_terms: list[tuple[Fraction, Segment]] = []
     for i, ((g, alpha), x_i) in enumerate(zip(slices, interior)):
         block = fan[i * 2 * m : (i + 1) * 2 * m]
-        signs = []
-        for t in block:
-            v = evaluate(g, unit_vector(t))
-            signs.append(1 if v >= 0 else -1)  # sign(0) := +1
-        y = x_i + SparseVector(
-            tuple((t, Fraction(s, m)) for t, s in zip(block[:m], signs[:m]))
-        )
-        z = x_i + SparseVector(
-            tuple((t, Fraction(s, m)) for t, s in zip(block[m:], signs[m:]))
-        )
+        # the fan lies strictly below every node of every slice functional,
+        # so g reads 0 on it: y and z gain +1/m on their halves of the block
+        y = x_i + SparseVector(tuple((t, Fraction(1, m)) for t in block[:m]))
+        z = x_i + SparseVector(tuple((t, Fraction(1, m)) for t in block[m:]))
         if not norm(y, space, config).le(Fraction(1)):
             raise CertificationError("y vector left the unit ball")
         if not norm(z, space, config).le(Fraction(1)):
@@ -184,10 +178,8 @@ def sd2p_witnesses(
             raise CertificationError("extended vectors fell out of the slice")
         y_vecs.append(y)
         z_vecs.append(z)
-        for t, s in zip(block[:m], signs[:m]):
-            separating_terms.append((Fraction(s), Segment(t, t)))
-        for t, s in zip(block[m:], signs[m:]):
-            separating_terms.append((Fraction(-s), Segment(t, t)))
+        separating_terms.extend((Fraction(1), Segment(t, t)) for t in block[:m])
+        separating_terms.extend((Fraction(-1), Segment(t, t)) for t in block[m:])
 
     separating = DualFunctional(tuple(separating_terms), SIGNED_FAMILY)
     validate_functional(separating, space)  # fresh same-level singletons: admissible

@@ -18,15 +18,18 @@ prevents cycling.  Problem sizes here are tiny (tens of rows/columns), so a
 dense tableau is the right tool.
 
 The tableau is fraction-free (in the spirit of Bareiss, Math. Comp. 1968):
-each row is a list of integers over one positive row denominator, and the
-reduced costs are integers over one positive denominator too.  A pivot
-scales the pivot row so that its entering entry p is positive and becomes
-its denominator; every other row becomes row*p - f*pivot_row over den*p,
-where f is its entering entry.  One gcd pass then reduces each updated row.
-Every cell is the same rational a Fraction tableau would hold, so every sign
-and ratio test, and hence every pivot, is the same; the ratio tests compare
-cross products, in which the positive denominators cancel.  The values of
-the variables stay Fractions.
+each row is a list of integers over one positive row denominator, its last
+cell holding its basic value, and the reduced costs are integers over one
+positive denominator too, their last cell holding minus the objective value.
+Nonbasic values are integers, so moving one shifts each value cell by an
+integer multiple.  A pivot rests the entering variable at 0 and the leaving
+one at the bound it reached, then scales the pivot row so that its entering
+entry p is positive and becomes its denominator; every other row becomes
+row*p - f*pivot_row over den*p, where f is its entering entry.  One gcd pass
+then reduces each updated row.  Every cell is the same rational a Fraction
+tableau would hold, so every sign and ratio test, and hence every pivot, is
+the same; the ratio tests compare integer cross products, in which the
+positive denominators cancel.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import JamesTreeError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LPError(JamesTreeError):
@@ -71,11 +71,12 @@ class LPState:
     """The tableau of one LP whose row list only grows between solves.
 
     Row i reads x_{basis[i]} + sum_j (tableau[i][j] / den[i]) x_j = const
-    over nonbasic j, with tableau[i][basis[i]] == den[i] > 0; `value` holds
-    every variable's current value, z[j] / z_den the reduced costs (zero on
-    basic columns, z_den > 0), and `rows` the rows absorbed so far, which
-    every later call must repeat as the prefix of its row list.  Create one
-    per LP and pass it to every `simplex_max` call on that LP.
+    over nonbasic j, with tableau[i][basis[i]] == den[i] > 0 and a last cell
+    den[i] * x_{basis[i]}; `at` holds the nonbasic values (0 when basic),
+    z[j] / z_den the reduced costs (zero on basic columns, z_den > 0) with a
+    last cell -z_den * c.x, and `rows` the rows absorbed so far, which every
+    later call must repeat as the prefix of its row list.  Create one per LP
+    and pass it to every `simplex_max` call on that LP.
     """
 
     def __init__(self) -> None:
@@ -84,8 +85,7 @@ class LPState:
         self.tableau: list[list[int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
-        self.value: list[Fraction] = []
-        self.lower: list[Fraction] = []
+        self.at: list[int] = []
         self.z: list[int] = []
         self.z_den = 1
 
@@ -94,9 +94,8 @@ class LPState:
         n = len(c)
         if self.objective is None:
             self.objective = list(c)
-            self.value = [_ZERO] * n
-            self.lower = [-_ONE] * n
-            self.z, self.z_den = _integer_row(c)
+            self.at = [0] * n
+            self.z, self.z_den = _integer_row([*c, 0])  # value cell: -c.x at x = 0
         elif list(c) != self.objective:
             raise LPError("LPState was built for another objective")
         seen = len(self.rows)
@@ -107,13 +106,14 @@ class LPState:
             raise LPError("simplex_max requires nonnegative right-hand sides")
         if any(len(a) != n for a, _ in new):
             raise LPError("row length mismatch")
-        tableau, dens, basis, value = self.tableau, self.den, self.basis, self.value
+        tableau, dens, basis, at = self.tableau, self.den, self.basis, self.at
         for a, rhs in new:
             m = len(basis)
             for old in tableau:
-                old.append(0)
-            row, den = _integer_row(a)
-            row += [0] * m + [den]  # the new slack, coefficient 1
+                old.insert(-1, 0)
+            row, den = _integer_row([*a, rhs])
+            cell = row.pop() - sum(aj * v for aj, v in zip(row, at) if v)
+            row += [0] * m + [den, cell]  # the new slack, coefficient 1, then the value cell
             for b, prow, pden in zip(basis, tableau, dens):  # eliminate the basic columns
                 f = row[b]
                 if f:
@@ -121,12 +121,21 @@ class LPState:
             tableau.append(row)
             dens.append(den)
             basis.append(n + m)
-            value.append(rhs - sum((aj * xj for aj, xj in zip(a, value) if aj), _ZERO))
-            self.lower.append(_ZERO)
-            self.z.append(0)
+            at.append(0)
+            self.z.insert(-1, 0)
             self.rows.append((tuple(a), rhs))
 
-    def _pivot(self, leave: int, enter: int) -> None:
+    def _set(self, j: int, v: int) -> None:
+        """Move x_j, nonbasic or leaving the basis, to v; the value cells follow."""
+        for row in (*self.tableau, self.z):
+            if row[j]:
+                row[-1] -= row[j] * (v - self.at[j])
+        self.at[j] = v
+
+    def _pivot(self, leave: int, enter: int, bound: int) -> None:
+        """x_enter becomes basic in row leave; the variable it replaces rests at bound."""
+        self._set(enter, 0)
+        self._set(self.basis[leave], bound)
         tableau, dens = self.tableau, self.den
         pivot_row = tableau[leave]
         p = pivot_row[enter]
@@ -145,58 +154,45 @@ class LPState:
             self.z, self.z_den = _eliminate(self.z, self.z_den, f, pivot_row, p)
         self.basis[leave] = enter
 
-    def _move(self, enter: int, delta: Fraction) -> None:
-        """Move nonbasic x_enter by delta; the basic variables follow."""
-        value = self.value
-        value[enter] += delta
-        num, den = delta.numerator, delta.denominator
-        for row, row_den, b in zip(self.tableau, self.den, self.basis):
-            coef = row[enter]
-            if coef:
-                value[b] -= Fraction(coef * num, row_den * den)
-
     def _dual_simplex(self, n: int) -> None:
         """Pivot basic variables back inside their bounds, keeping z dual feasible."""
-        value, lower = self.value, self.lower
+        at = self.at
         while True:
             leave = -1
-            for i, b in enumerate(self.basis):  # Bland: smallest infeasible index
-                if (value[b] < lower[b] or (b < n and value[b] > 1)) and (
-                    leave < 0 or b < self.basis[leave]
-                ):
+            for i, (b, row, d) in enumerate(zip(self.basis, self.tableau, self.den)):
+                # Bland: the smallest index outside its bounds leaves
+                if (row[-1] < _lower(b, n) * d or b < n and row[-1] > d) and (leave < 0 or b < self.basis[leave]):
                     leave = i
             if leave < 0:
                 return
-            r = self.basis[leave]
-            target = lower[r] if value[r] < lower[r] else _ONE
-            rise = target > value[r]
+            r, row, z = self.basis[leave], self.tableau[leave], self.z
+            rise = row[-1] < _lower(r, n) * self.den[leave]
+            target = _lower(r, n) if rise else 1
             # x_r changes by -t per unit of x_j; x_j must move the way that
             # carries x_r towards target and that its own bounds allow.  The
             # least ratio |z_j / t_j| wins; the positive denominators of the
             # row and of z cancel from the cross-multiplied comparison
-            row, z = self.tableau[leave], self.z
             enter, best_z, best_t = -1, 0, 1
-            for j, t in enumerate(row):
+            for j, t in enumerate(row[:-1]):
                 if not t or j == r:
                     continue
                 up = (t < 0) == rise
-                if up and j < n and value[j] >= 1 or not up and value[j] <= lower[j]:
+                if up and j < n and at[j] >= 1 or not up and at[j] <= _lower(j, n):
                     continue
                 zj, tj = abs(z[j]), abs(t)
                 if enter < 0 or zj * best_t < best_z * tj:
                     enter, best_z, best_t = j, zj, tj
             if enter < 0:
                 raise LPError("internal error: infeasible LP with nonnegative right-hand sides")
-            self._move(enter, (value[r] - target) * Fraction(self.den[leave], row[enter]))
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, target)
 
     def _primal_simplex(self, n: int) -> None:
         """Bounded-variable primal simplex from a feasible basis to an optimum."""
-        value, lower = self.value, self.lower
+        at = self.at
         while True:
             enter = -1
-            for j, d in enumerate(self.z):  # Bland: smallest index that can improve
-                if (d > 0 and (j >= n or value[j] < 1)) or (d < 0 and value[j] > lower[j]):
+            for j, d in enumerate(self.z[:-1]):  # Bland: smallest index that can improve
+                if (d > 0 and (j >= n or at[j] < 1)) or (d < 0 and at[j] > _lower(j, n)):
                     enter = j
                     break
             if enter < 0:
@@ -204,25 +200,31 @@ class LPState:
             sign = 1 if self.z[enter] > 0 else -1
             # ratio test: the first variable to reach a bound, ties to the
             # smallest index; the entering variable's own opposite bound is a
-            # candidate
-            step = 1 - sign * value[enter] if enter < n else None
-            leave = -1
-            blocker = enter
-            for i, b in enumerate(self.basis):
-                rate = sign * self.tableau[i][enter]  # x_b falls at rate / den[i]
-                if rate > 0:
-                    t = (value[b] - lower[b]) * Fraction(self.den[i], rate)
-                elif rate < 0 and b < n:
-                    t = (1 - value[b]) * Fraction(self.den[i], -rate)
+            # candidate.  A step is gap / rate with rate > 0
+            gap, rate = (1 - sign * at[enter], 1) if enter < n else (None, 1)
+            leave, blocker, bound = -1, enter, 0
+            for i, (b, row, d) in enumerate(zip(self.basis, self.tableau, self.den)):
+                r = sign * row[enter]  # x_b falls at r / d per unit step
+                if r > 0:
+                    to = _lower(b, n)
+                    g = row[-1] - to * d
+                elif r < 0 and b < n:
+                    g, r, to = d - row[-1], -r, 1
                 else:
                     continue
-                if step is None or t < step or (t == step and b < blocker):
-                    step, leave, blocker = t, i, b
-            if step is None:
+                if gap is None or g * rate < gap * r or (g * rate == gap * r and b < blocker):
+                    gap, rate, leave, blocker, bound = g, r, i, b, to
+            if gap is None:
                 raise LPError("internal error: unbounded bounded-variable LP")
-            self._move(enter, sign * step)
-            if leave >= 0:  # else a bound flip: the entering variable stays nonbasic
-                self._pivot(leave, enter)
+            if leave >= 0:
+                self._pivot(leave, enter, bound)
+            else:  # a bound flip: the entering variable stays nonbasic
+                self._set(enter, sign)
+
+
+def _lower(j: int, n: int) -> int:
+    """The lower bound of column j: -1 for x_j, 0 for a slack."""
+    return -1 if j < n else 0
 
 
 def simplex_max(
@@ -243,5 +245,8 @@ def simplex_max(
     state._absorb(c, rows)
     state._dual_simplex(n)
     state._primal_simplex(n)
-    x = state.value[:n]
-    return sum((cj * xj for cj, xj in zip(c, x) if cj), _ZERO), x
+    x = [Fraction(v) for v in state.at[:n]]
+    for row, den, b in zip(state.tableau, state.den, state.basis):
+        if b < n:
+            x[b] = Fraction(row[-1], den)
+    return Fraction(-state.z[-1], state.z_den), x

@@ -151,12 +151,9 @@ class SparseVector:
             raise InvalidVectorError("hyperplane vectors carry no root entry")
 
 
-def unit_vector(node: Node, space: SpaceSpec | None = None) -> SparseVector:
+def unit_vector(node: Node) -> SparseVector:
     """Canonical basis vector e_node; has norm one in every space."""
-    vec = SparseVector(((tuple(node), Fraction(1)),))
-    if space is not None:
-        vec.validate_for(space)
-    return vec
+    return SparseVector(((tuple(node), Fraction(1)),))
 
 
 def project_levels(x: SparseVector, max_level: int) -> SparseVector:

@@ -261,8 +261,7 @@ def _jt_core_candidates(closure: Closure, config: RunConfig) -> list[Segment]:
             if closure.chain_meets_support(top, bottom):
                 cands.append(Segment(top, bottom))
                 _guard(len(cands), config.candidate_cap, "candidate segments")
-    cands.sort(key=Segment.sort_key)
-    return cands
+    return cands  # lex tops, each with its lex bottoms: in Segment.sort_key order
 
 
 def aligned_candidates(

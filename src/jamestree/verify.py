@@ -238,7 +238,9 @@ def _canonical_pair_key(r_seg: Segment, s_seg: Segment):
             cur = cur + (val,)
         return tuple(out)
 
-    return (relabel(r_seg.top), relabel(r_seg.bottom), relabel(s_seg.top), relabel(s_seg.bottom))
+    # a top is a prefix of its bottom, so it relabels to a prefix of it
+    r_bottom, s_bottom = relabel(r_seg.bottom), relabel(s_seg.bottom)
+    return (r_bottom[: len(r_seg.top)], r_bottom, s_bottom[: len(s_seg.top)], s_bottom)
 
 
 def check_53_bound(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jamestree
 from jamestree.cli import main
 
 
@@ -435,3 +440,13 @@ def test_certify_malformed_containers(tmp_path, capsys, what, doc):
     code, out = run_cli(capsys, "certify", what, path)
     assert code == 2
     assert json.loads(out)["error"] == "schema"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # every `jamestree` process pays for what importing the CLI loads;
+    # multiprocessing is imported inside `parallel_map` only
+    src = str(Path(jamestree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, jamestree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

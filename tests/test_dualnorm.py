@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -16,7 +18,8 @@ from jamestree.functionals import (
 from jamestree.norms import norm
 from jamestree.reference import dense_dual_norm_l1, grid_scan_dual_norm_jt
 from jamestree.sampling import random_signed_family, random_vector
-from jamestree.spaces import JH, JH_INF, JT_INF, M_HYP
+from jamestree.schemas import dual_cert_to_json
+from jamestree.spaces import ALL_SPACES, JH, JH_INF, JT_INF, M_HYP
 from jamestree.trees import Closure, Segment, is_admissible
 from test_lp import _time_limit
 
@@ -240,3 +243,22 @@ def test_zero_functional():
     g = DualFunctional((), "general")
     cert = dual_norm(g, JH_INF)
     assert cert.lower == cert.upper == 0
+
+
+def test_dual_norm_certificates_are_pinned():
+    # bounds, witness, cuts and rounds of seeded signed families and their
+    # differences in all four spaces, hashed as JSON records; the cut rows
+    # and the iterates come from the LP, so this pins its optimizers too.
+    # The hash was taken from the solver that kept Fraction variable values
+    rng = random.Random(2022)
+    digest = hashlib.sha256()
+    for space in ALL_SPACES:
+        jt = space is JT_INF
+        for _ in range(12):
+            f = random_signed_family(rng, space, 2 if jt else 3)
+            g = random_signed_family(rng, space, 2 if jt else 3)
+            for h in (f, f - g):
+                if h.coefficient_map():
+                    cert = dual_norm(h, space, tol=Fraction(1, 10**6) if jt else None)
+                    digest.update(json.dumps(dual_cert_to_json(cert), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "e942a1bb4b798e02ec75b4c9b6c67e6f60f7b8ebd5348d938374102a20923470"

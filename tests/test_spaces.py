@@ -29,7 +29,7 @@ def test_unit_vector_examples():
     assert unit_vector((0,)).entries == (((0,), Fraction(1)),)
     assert norm(unit_vector((0, 1)), JH).value == 1
     with pytest.raises(InvalidVectorError):
-        unit_vector((), M_HYP)
+        unit_vector(()).validate_for(M_HYP)
 
 
 def test_space_validation():
