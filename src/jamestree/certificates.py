@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .dualnorm import certify_unit_ball, dual_norm
+from .dualnorm import dual_norm
 from .errors import (
     CertificationError,
     PreconditionError,
@@ -92,6 +92,16 @@ def extend_within_ball(
     return y
 
 
+def _check_combination(slices: tuple, weights: tuple[Fraction, ...]) -> None:
+    """At least one slice, one weight per slice, weights positive summing to 1."""
+    if not slices:
+        raise PreconditionError("at least one slice required")
+    if len(weights) != len(slices):
+        raise PreconditionError("one weight per slice required")
+    if any(w <= 0 for w in weights) or sum(weights) != 1:
+        raise PreconditionError("weights must be positive and sum to 1")
+
+
 @dataclass(frozen=True)
 class Sd2pCertificate:
     """Distance-2 witness for a convex combination of slices.
@@ -122,21 +132,19 @@ def sd2p_witnesses(
     """Diameter-2 certificate for sum_i weight_i * S(B, x*_i, alpha_i)."""
     if space.kind not in (SpaceKind.JH, SpaceKind.JH_INF):
         raise SpaceMismatchError("sd2p witnesses are built for JH and JH_INF")
-    if not slices:
-        raise PreconditionError("at least one slice required")
-    if len(weights) != len(slices):
-        raise PreconditionError("one weight per slice required")
-    if any(w <= 0 for w in weights) or sum(weights) != 1:
-        raise PreconditionError("weights must be positive and sum to 1")
+    _check_combination(slices, weights)
     if any(alpha <= 0 for _, alpha in slices):
         raise PreconditionError("slices require alpha > 0")
+    # the dual norm is exact in JH and JH_INF: upper <= 1 puts g in the dual ball
+    certs = []
     for g, _ in slices:
-        if not certify_unit_ball(g, space, config):
+        cert = dual_norm(g, space, config=config)
+        if cert.upper > 1:
             raise CertificationError("slice functional not certified inside the dual ball")
+        certs.append(cert)
 
     interior: list[SparseVector] = []
-    for g, alpha in slices:
-        cert = dual_norm(g, space, config=config)
+    for (g, alpha), cert in zip(slices, certs):
         w = cert.witness_vector
         w_norm = norm(w, space, config).value
         if w_norm == 0:
@@ -232,12 +240,7 @@ def m_ccw_witness(
 ) -> CcwCertificate:
     """Distance-2 witness pair for a convex combination of w*-slices of the
     hyperplane's norming set."""
-    if not slices:
-        raise PreconditionError("at least one slice required")
-    if len(weights) != len(slices):
-        raise PreconditionError("one weight per slice required")
-    if any(w <= 0 for w in weights) or sum(weights) != 1:
-        raise PreconditionError("weights must be positive and sum to 1")
+    _check_combination(slices, weights)
     for x_i, eps in slices:
         x_i.validate_for(M_HYP)
         if x_i.is_zero:
@@ -274,8 +277,7 @@ def m_ccw_witness(
             raise CertificationError("zero-padding changed a slice member's value")
         extended.append(g_ext)
 
-    branch_head = fresh_ext + 1
-    branch = tuple((branch_head,) + (0,) * (k - 1) for k in range(1, r + 1))
+    branch = avoiding_branch(used_paths + [(fresh_ext,)], r)
     witness_node = branch[r - 1]
 
     members_plus: list[DualFunctional] = []

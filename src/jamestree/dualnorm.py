@@ -42,7 +42,6 @@ from .functionals import (
     SIGNED_FAMILY,
     DualFunctional,
     evaluate,
-    is_unit_ball_certified,
     validate_functional,
 )
 from .lp import LPState, simplex_max
@@ -160,8 +159,6 @@ def dual_norm(
 
     variables = _variables(g, space, cap)
     coeffs = g.coefficient_map()
-    if space.kind is SpaceKind.M_HYP:
-        coeffs.pop(ROOT, None)  # the hyperplane never sees the root coordinate
     objective = [coeffs.get(v, Fraction(0)) for v in variables]
     box_bound = sum((abs(c) for c in objective), Fraction(0))
     if not space.aggregates_l1 and tol < box_bound * _JT_RESOLUTION:
@@ -228,11 +225,3 @@ def dual_norm(
         tol=tol,
         iterations=rounds,
     )
-
-
-def certify_unit_ball(g: DualFunctional, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) -> bool:
-    """Dual norm <= 1, by class when possible, else by cutting planes."""
-    if is_unit_ball_certified(g, space):
-        return True
-    cert = dual_norm(g, space, config=config)
-    return cert.upper <= 1

@@ -95,22 +95,6 @@ def validate_functional(g: DualFunctional, space: SpaceSpec) -> None:
             raise InvalidFunctionalError("signed family segments must form an admissible family")
 
 
-def is_unit_ball_certified(g: DualFunctional, space: SpaceSpec) -> bool:
-    """True when the class alone certifies dual norm <= 1.
-
-    Molecules certify it for JT_INF, signed families for the L1 spaces.
-    """
-    try:
-        validate_functional(g, space)
-    except InvalidFunctionalError:
-        return False
-    if g.class_tag == MOLECULE:
-        return not space.aggregates_l1
-    if g.class_tag == SIGNED_FAMILY:
-        return space.aggregates_l1
-    return False
-
-
 @dataclass(frozen=True)
 class MoleculeFit:
     """l2-optimal molecule for a fixed disjoint family at a fixed vector.

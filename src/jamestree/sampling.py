@@ -10,11 +10,12 @@ from .spaces import Node, SparseVector, SpaceKind, SpaceSpec
 from .trees import Segment
 
 
-def nonzero_fraction(rng: random.Random, numerator_bound: int = 9, denominator_bound: int = 9) -> Fraction:
+def nonzero_fraction(rng: random.Random) -> Fraction:
+    """Nonzero numerator in [-9, 9] over a denominator in [1, 9]."""
     num = 0
     while num == 0:
-        num = rng.randint(-numerator_bound, numerator_bound)
-    return Fraction(num, rng.randint(1, denominator_bound))
+        num = rng.randint(-9, 9)
+    return Fraction(num, rng.randint(1, 9))
 
 
 def random_node(rng: random.Random, space: SpaceSpec, max_level: int, branching: int) -> Node:

@@ -108,15 +108,14 @@ def family_to_json(family: AdmissibleFamily) -> list[dict]:
     return [segment_to_json(s) for s in family.segments]
 
 
-def functional_to_json(g: DualFunctional, space: SpaceSpec | None = None) -> dict:
-    out: dict[str, Any] = {"class": g.class_tag}
-    if space is not None:
-        out["space"] = space.kind.value
-    out["terms"] = [
-        {"coeff": fraction_to_str(c), "top": list(s.top), "bottom": list(s.bottom)}
-        for c, s in g.terms
-    ]
-    return out
+def functional_to_json(g: DualFunctional) -> dict:
+    return {
+        "class": g.class_tag,
+        "terms": [
+            {"coeff": fraction_to_str(c), "top": list(s.top), "bottom": list(s.bottom)}
+            for c, s in g.terms
+        ],
+    }
 
 
 def functional_from_json(doc: Any, space: SpaceSpec | None = None) -> tuple[DualFunctional, SpaceSpec | None]:

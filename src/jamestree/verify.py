@@ -61,8 +61,10 @@ class CheckResult:
     seconds: float
 
 
-def _result(ident, name, passed, detail, started) -> CheckResult:
-    return CheckResult(ident, name, passed, detail, time.monotonic() - started)
+def _result(ident, name, problems, detail, started) -> CheckResult:
+    """Passed iff there are no problems; a failure shows the first four."""
+    shown = "; ".join(problems[:4]) if problems else detail
+    return CheckResult(ident, name, not problems, shown, time.monotonic() - started)
 
 
 # --- criterion 1: optimized engine == naive oracle -------------------------
@@ -100,10 +102,10 @@ def check_norm_oracle(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
     mismatches = sum(m for m, _ in results)
     total = sum(c for _, c in results)
     elapsed = time.monotonic() - started
-    passed = mismatches == 0 and elapsed < 60
     within = "within" if elapsed < 60 else "OVER"
     detail = f"{total} vectors ({per_space} per space), {mismatches} mismatches, {within} the 60s limit"
-    return _result("1", "norm oracle equivalence", passed, detail, started)
+    problems = [] if mismatches == 0 and elapsed < 60 else [detail]
+    return _result("1", "norm oracle equivalence", problems, detail, started)
 
 
 # --- criterion 2: singleton slice and zero diameter -------------------------
@@ -153,19 +155,19 @@ def check_singleton_slice(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
         )
         if report.lower != 0 or report.upper != 0:
             problems.append(f"eps={eps}: diameter not exactly 0")
-    detail = "singleton slice and diameter 0 for eps in {1/8, 1/5}" if not problems else "; ".join(problems)
-    return _result("2", "singleton norming-set slice, diameter 0", not problems, detail, started)
+    detail = "singleton slice and diameter 0 for eps in {1/8, 1/5}"
+    return _result("2", "singleton norming-set slice, diameter 0", problems, detail, started)
 
 
 # --- criterion 3: two-point slicing vector, sqrt(2) bound -------------------
 
-def _alpha_grid(delta: Fraction, points: int = 5) -> list[Fraction]:
-    """Largest k/2048 with (1 - alpha)^2 > 1 - delta, then an even grid below it."""
+def _alpha_grid(delta: Fraction) -> list[Fraction]:
+    """Largest k/2048 with (1 - alpha)^2 > 1 - delta, then a 5-point even grid below it."""
     k = 0
     while (1 - Fraction(k + 1, 2048)) ** 2 > 1 - delta:
         k += 1
     top = Fraction(k, 2048)
-    return [top * j / points for j in range(1, points + 1)]
+    return [top * j / 5 for j in range(1, 6)]
 
 
 def check_sqrt2_bound(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
@@ -211,12 +213,8 @@ def check_sqrt2_bound(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
                         problems.append(
                             f"pair distance {cert.upper} exceeds sqrt(2)+alpha+2sqrt(delta)"
                         )
-    detail = (
-        f"2 deltas x 5 alphas, structural facts for every member, {pair_count} pair distances under the surd bound"
-        if not problems
-        else "; ".join(problems[:4])
-    )
-    return _result("3", "sqrt(2) + alpha + 2 sqrt(delta) slice bound", not problems, detail, started)
+    detail = f"2 deltas x 5 alphas, structural facts for every member, {pair_count} pair distances under the surd bound"
+    return _result("3", "sqrt(2) + alpha + 2 sqrt(delta) slice bound", problems, detail, started)
 
 
 # --- criterion 4: exhaustive disjoint pair sweep, 5/3 ------------------------
@@ -293,10 +291,8 @@ def check_53_bound(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
         f"{pairs} pairs, {len(memo)} relabeling classes; aligned all exactly 1; "
         f"non-aligned truncated exact values (new data, not ground truth): {{{values}}}; "
         "within the 5-minute limit"
-        if not problems
-        else "; ".join(problems[:4])
     )
-    return _result("4", "disjoint pair dual norms <= 5/3, aligned = 1", not problems, detail, started)
+    return _result("4", "disjoint pair dual norms <= 5/3, aligned = 1", problems, detail, started)
 
 
 # --- criterion 5: strong-diameter-2 certificates ----------------------------
@@ -326,7 +322,7 @@ def check_sd2p(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
                 if not evaluate(g, y) > 1 - a or not evaluate(g, z) > 1 - a:
                     problems.append(f"{space.kind.value} trial {trial}: membership failed")
     detail = "5 seeded combinations per space, distance exactly 2, norms and memberships verified"
-    return _result("5", "SD2P certificates (JH, JH_INF)", not problems, detail if not problems else "; ".join(problems[:4]), started)
+    return _result("5", "SD2P certificates (JH, JH_INF)", problems, detail, started)
 
 
 # --- criterion 6: hyperplane w*-slice combinations ---------------------------
@@ -355,7 +351,7 @@ def check_ccw(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
         if gap != 2:
             problems.append(f"trial {trial}: witness-node evaluation {gap} != 2")
     detail = "5 seeded combinations, pair distance exactly 2 via the witness node"
-    return _result("6", "hyperplane w*-slice combination distance 2", not problems, detail if not problems else "; ".join(problems[:4]), started)
+    return _result("6", "hyperplane w*-slice combination distance 2", problems, detail, started)
 
 
 # --- criterion 7: l1 rows -----------------------------------------------------
@@ -372,7 +368,7 @@ def check_l1_rows(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
             if not equal or value != sum(abs(c) for c in coeffs):
                 problems.append(f"trial {trial} {space.kind.value}: {coeffs} -> {value}")
     detail = "20 random tuples, N <= 5, exact equality in JH_INF and M_HYP"
-    return _result("7", "isometric l1 rows", not problems, detail if not problems else "; ".join(problems[:4]), started)
+    return _result("7", "isometric l1 rows", problems, detail, started)
 
 
 # --- criterion 8: ball-preserving extensions ---------------------------------
@@ -395,7 +391,7 @@ def check_extensions(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
             if not norm(y, space, config).le(Fraction(1)):
                 problems.append(f"{space.kind.value} trial {trial}: extension norm > 1")
     detail = "100 randomized extensions per space, n in {2,3,5}, all norms <= 1 exactly"
-    return _result("8", "ball-preserving extensions", not problems, detail if not problems else "; ".join(problems[:4]), started)
+    return _result("8", "ball-preserving extensions", problems, detail, started)
 
 
 # --- criterion 9: octahedrality deficits --------------------------------------
@@ -437,7 +433,7 @@ def check_octahedrality(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
     if counter.deficit != Fraction(1, 2):
         problems.append(f"level-1 counterexample deficit {counter.deficit} != 1/2")
     detail = "10 fresh-node candidates at deficit exactly 1; counterexample detected at 1/2"
-    return _result("9", "octahedrality deficits", not problems, detail if not problems else "; ".join(problems[:4]), started)
+    return _result("9", "octahedrality deficits", problems, detail, started)
 
 
 # --- criterion 10: structural invariants ---------------------------------------
@@ -492,7 +488,7 @@ def check_structural(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
             problems.append("dyadic embedding is not isometric")
 
     detail = "axioms, monotone projections, hyperplane restriction, dyadic embedding: 200 instances each, exact"
-    return _result("10", "structural invariants", not problems, detail if not problems else "; ".join(problems[:4]), started)
+    return _result("10", "structural invariants", problems, detail, started)
 
 
 CHECKS = {

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -12,10 +14,13 @@ from jamestree.certificates import (
     octahedrality_deficit,
     sd2p_witnesses,
 )
-from jamestree.errors import PreconditionError, SpaceMismatchError
+from jamestree import certificates, dualnorm
+from jamestree.errors import CertificationError, JamesTreeError, PreconditionError, SpaceMismatchError
+from jamestree.dualnorm import dual_norm
 from jamestree.functionals import evaluate, segment_functional
 from jamestree.norms import norm
-from jamestree.sampling import random_vector, scaled_into_ball
+from jamestree.sampling import random_signed_family, random_vector, random_weights, scaled_into_ball
+from jamestree.schemas import ccw_cert_to_json, sd2p_cert_to_json
 from jamestree.spaces import (
     ALL_SPACES,
     JH,
@@ -93,6 +98,52 @@ def test_sd2p_alpha_zero_rejected():
         sd2p_witnesses(((segment_functional((), ()), Fraction(1, 4)),), (Fraction(1),), JT_INF)
 
 
+
+def test_sd2p_runs_one_dual_norm_per_slice_functional(monkeypatch):
+    # the dual norm that builds each interior point also certifies that its
+    # functional lies in the dual ball; the spy sits on both bindings, so a
+    # second route through `dualnorm` would be counted too
+    seen = []
+
+    def spy(g, *args, **kwargs):
+        seen.append(g)
+        return dual_norm(g, *args, **kwargs)
+
+    monkeypatch.setattr(certificates, "dual_norm", spy)
+    monkeypatch.setattr(dualnorm, "dual_norm", spy)
+    rng = random.Random(29)
+    f, g = random_signed_family(rng, JH_INF, 2), random_signed_family(rng, JH_INF, 2)
+    general = f.scale(Fraction(1, 2)) - g.scale(Fraction(1, 3))
+    slices = ((f, Fraction(1, 4)), (general, Fraction(1, 2)))
+    cert = sd2p_witnesses(slices, (Fraction(1, 3), Fraction(2, 3)), JH_INF)
+    assert cert.distance == 2
+    assert seen == [f, general]
+
+
+def test_sd2p_rejects_a_functional_outside_the_dual_ball():
+    g = segment_functional((), (0,)).scale(Fraction(2))
+    with pytest.raises(CertificationError, match="^slice functional not certified inside the dual ball$"):
+        sd2p_witnesses(((g, Fraction(1, 4)),), (Fraction(1),), JH)
+
+
+@pytest.mark.parametrize(
+    "count, weights, message",
+    [
+        (0, (), "at least one slice required"),
+        (2, (Fraction(1),), "one weight per slice required"),
+        (2, (Fraction(1, 2), Fraction(1, 3)), "weights must be positive and sum to 1"),
+        (2, (Fraction(3, 2), Fraction(-1, 2)), "weights must be positive and sum to 1"),
+    ],
+    ids=["empty", "count", "sum", "sign"],
+)
+def test_combination_certificates_share_their_weight_checks(count, weights, message):
+    sd2p = ((segment_functional((), ()), Fraction(1, 4)),) * count
+    ccw = ((unit_vector((1,)), Fraction(1, 2)),) * count
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        sd2p_witnesses(sd2p, weights, JH)
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        m_ccw_witness(ccw, weights)
+
 def test_ccw_single_slice():
     cert = m_ccw_witness(((unit_vector((1,)), Fraction(1, 2)),), (Fraction(1),))
     assert cert.distance == 2
@@ -109,6 +160,47 @@ def test_ccw_two_slices_and_vacuous_epsilon():
     assert cert.distance == 2
     vacuous = m_ccw_witness(((unit_vector((1,)), Fraction(3)),), (Fraction(1),))
     assert vacuous.distance == 2
+
+
+def test_sd2p_and_ccw_certificates_are_pinned():
+    # sd2p certificates for 80 seeded combinations in JH and JH_INF, a third
+    # of them over general functionals such as 1/2*g - 1/3*h, and ccw
+    # certificates for 20 in M_HYP, hashed as JSON records; a call that
+    # raises is hashed as the repr of its exception
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+
+    def record(build):
+        try:
+            doc = build()
+        except JamesTreeError as exc:
+            doc = repr(exc)
+        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+
+    coefficients = (Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(3, 2))
+    for space in (JH, JH_INF):
+        for trial in range(40):
+            k = rng.randint(1, 3)
+            slices = []
+            for _ in range(k):
+                g = random_signed_family(rng, space, 2)
+                if trial % 3 == 0:
+                    h = random_signed_family(rng, space, 2)
+                    g = g.scale(rng.choice(coefficients)) - h.scale(rng.choice(coefficients))
+                slices.append((g, rng.choice((Fraction(1, 4), Fraction(1, 2), Fraction(3)))))
+            weights = random_weights(rng, k)
+            record(lambda: sd2p_cert_to_json(sd2p_witnesses(tuple(slices), weights, space)))
+    for _ in range(20):
+        k = rng.randint(1, 3)
+        vectors = []
+        while len(vectors) < k:
+            x = random_vector(rng, M_HYP, max_level=3, max_nodes=4)
+            if not x.is_zero:
+                vectors.append(x)
+        slices = tuple((x, rng.choice((Fraction(1, 8), Fraction(1, 2), Fraction(3)))) for x in vectors)
+        weights = random_weights(rng, k)
+        record(lambda: ccw_cert_to_json(m_ccw_witness(slices, weights)))
+    assert digest.hexdigest() == "54605f7c8259d60bdccc1d04bf7cffafb0bd74d9201b5c6495642818e343fbbe"
 
 
 def test_octahedrality_examples():

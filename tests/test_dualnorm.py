@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jamestree.dualnorm import certify_unit_ball, dual_norm
+from jamestree.dualnorm import dual_norm
 from jamestree.errors import CertificationError, PreconditionError
 from jamestree.functionals import (
     MOLECULE,
@@ -66,7 +66,6 @@ def test_norming_classes_stay_in_dual_ball():
         g = random_signed_family(rng, JH_INF, 3)
         cert = dual_norm(g, JH_INF)
         assert cert.upper <= 1
-        assert certify_unit_ball(g, JH_INF)
     for _ in range(15):
         segs = (Segment((1,), (1, rng.randrange(3))), Segment((2,), (2, rng.randrange(3))))
         mol = DualFunctional(
@@ -74,7 +73,6 @@ def test_norming_classes_stay_in_dual_ball():
         )
         cert = dual_norm(mol, JT_INF, tol=Fraction(1, 10**6))
         assert cert.upper <= 1 + Fraction(1, 10**6)
-        assert certify_unit_ball(mol, JT_INF)
 
 
 def test_lower_bound_dominates_rayleigh_quotients():

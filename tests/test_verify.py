@@ -1,7 +1,8 @@
+import time
 from itertools import product
 
 from jamestree.trees import Segment
-from jamestree.verify import _canonical_pair_key
+from jamestree.verify import _canonical_pair_key, _result
 
 
 def _four_path_key(r_seg, s_seg):
@@ -42,3 +43,11 @@ def test_canonical_pair_key_matches_four_path_relabelling():
                             pairs += 1
     assert pairs == 19740
     assert len(keys) == 35
+
+
+def test_result_shows_the_detail_or_the_first_four_problems():
+    started = time.monotonic()
+    ok = _result("2", "name", [], "all good", started)
+    assert ok.passed and ok.detail == "all good"
+    failed = _result("2", "name", ["a", "b", "c", "d", "e"], "all good", started)
+    assert not failed.passed and failed.detail == "a; b; c; d"
