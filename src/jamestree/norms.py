@@ -19,10 +19,13 @@ once; only the windows that attain the largest total are turned into
 segments.  For JT_INF one packing DP over the support closure
 gives the value.  Its key (norm² times scale², then the negated segment and
 node counts) is packed into one integer whose order is the lex order.  The
-witness is built greedily: each probe blocks one more chain and recomputes
-only the DP entries on the root path of the chain's bottom, since no other
-subtree holds a newly blocked node.  The naive exhaustive oracle lives in
-`reference` and is used in tests only; both routes must agree exactly.
+witness is built greedily over the candidate chains, integer triples
+`(top, bottom, scaled sum)`.  A chain is probed only when it heads an
+optimal choice at its top in the current tables; each probe blocks one more
+chain and recomputes only the DP entries on the root path of the chain's
+bottom, since no other subtree holds a newly blocked node.  The naive
+exhaustive oracle lives in `reference` and is used in tests only; both
+routes must agree exactly.
 
 Witnesses are deterministic: the attaining family that is first in the
 canonical enumeration order (segment count, then node count, then lex).
@@ -230,17 +233,18 @@ def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormR
 
 
 def _jt_candidates(x: SparseVector, closure: Closure, sums, config: RunConfig):
-    """Support-meeting closure chains with nonzero sum, in canonical order.
+    """Support-meeting closure chains with nonzero sum, in canonical order,
+    as integer triples `(top, bottom, scaled sum)`.
 
     Tops in lex order, each with its bottoms in lex order, are already in
     `Segment.sort_key` order."""
-    cands: list[tuple[Segment, int]] = []
+    cands: list[tuple[Node, Node, int]] = []
     for top in closure.sorted_nodes:
         above = sums[top[:-1]] if top else 0
         for bottom in closure.descendants_or_self(top):
             s = sums[bottom] - above
             if s != 0:
-                cands.append((Segment(top, bottom), s))
+                cands.append((top, bottom, s))
                 if len(cands) > config.candidate_cap:
                     raise EnumerationCapError(f"candidate segments exceeded cap {config.candidate_cap}")
     return cands
@@ -303,12 +307,23 @@ def _jt_witness(goal: int, closure: Closure, sums, cands, tables) -> AdmissibleF
 
     The families with the fewest segments, then nodes, that attain the norm
     are those with key `goal`, so the witness is their lex-least sorted tuple.
-    One pass over `cands`, in `Segment.sort_key` order, keeps a segment when
-    some `goal` family contains it and the kept ones; a segment rejected once
+    One pass over `cands`, in `Segment.sort_key` order, keeps a chain when
+    some `goal` family contains it and the kept ones; a chain rejected once
     stays infeasible as more are kept.  `tables` are the DP with the kept
-    nodes blocked.  Blocking a chain changes only the entries of its bottom
-    and that bottom's ancestors, so a probe recomputes that root path alone,
-    deepest first, on a copy that becomes current when the segment is kept.
+    nodes blocked.
+
+    A chain S from `top` is probed only if it heads an optimal choice at
+    `top`: its head key, `below[top]` plus `below[c] − dp[c]` over its other
+    nodes c plus its own key, equals `dp[top]`.  That is exact.  A `goal`
+    family holding S and the kept chains, less the kept chains, has key
+    `dp[ROOT]` and avoids the blocked nodes; none of its other chains enters
+    `top`'s subtree, as S holds `top`.  Its part inside that subtree is at
+    most the head key, and its part outside at most `dp[ROOT] − dp[top]`,
+    so the head key is at least, hence equal to, `dp[top]`.
+
+    Blocking a chain changes only the entries of its bottom and that
+    bottom's ancestors, so a probe recomputes that root path alone, deepest
+    first, on a copy that becomes current when the chain is kept.
     """
     radix = _jt_radix(closure)
     unit = radix * radix
@@ -316,19 +331,24 @@ def _jt_witness(goal: int, closure: Closure, sums, cands, tables) -> AdmissibleF
     kept: list[Segment] = []
     blocked: frozenset = frozenset()
     acc = 0
-    for seg, s in cands:
+    for top, bottom, s in cands:
         if acc == goal:
             break
-        nodes = seg.nodes()
-        if blocked.intersection(nodes):
+        nodes = [bottom[:k] for k in range(len(top), len(bottom) + 1)]
+        if not blocked.isdisjoint(nodes):
             continue
-        step = acc + s * s * unit - radix - len(nodes)
+        key = s * s * unit - radix - len(nodes)
+        head = below[top] + key
+        for c in nodes[1:]:
+            head += below[c] - dp[c]
+        if head != dp[top]:
+            continue
         trial = blocked.union(nodes)
-        path = [seg.bottom[:k] for k in range(len(seg.bottom), -1, -1)]
+        path = [bottom[:k] for k in range(len(bottom), -1, -1)]
         trial_dp, trial_below = _jt_fill(closure, sums, trial, path, dict(dp), dict(below))
-        if step + trial_dp[ROOT] == goal:
-            kept.append(seg)
-            blocked, acc, dp, below = trial, step, trial_dp, trial_below
+        if acc + key + trial_dp[ROOT] == goal:
+            kept.append(Segment(top, bottom))
+            blocked, acc, dp, below = trial, acc + key, trial_dp, trial_below
     if acc != goal:
         raise JamesTreeError("internal error: no family attains the computed norm")
     return AdmissibleFamily(tuple(kept), SpaceSpec(SpaceKind.JT_INF))

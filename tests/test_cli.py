@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -333,6 +334,16 @@ def test_verify_output_independent_of_workers(capsys):
     main(["verify", "--suite", "duals", "--parallel", "2"])
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+def test_verify_all_stdout_is_pinned(capsys):
+    # the full suite's stdout at seed 0; timings go to stderr and are not hashed
+    code = main(["verify", "--suite", "all", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d627a99c1ccf12c61f30a766ec6965dece59b075e20bffd7c697b9e816e859ed"
+    )
 
 
 def test_config_file_overrides(tmp_path, capsys):

@@ -242,14 +242,16 @@ def _support_vector(rng, size, space=JT_INF):
     return SparseVector(tuple(entries.items()))
 
 
-def test_witness_path_updates_equal_full_reruns(monkeypatch):
-    # Each witness probe recomputes one root path of the DP tables; every
-    # table it leaves must be the DP run from scratch with the same nodes
-    # blocked.  The sizes reach the 14-, 18- and 24-node vectors of the
-    # norm-jt benchmark, beyond the oracle.
+def _witness_vectors():
+    """Seeded JT_INF vectors up to the 14-, 18- and 24-node vectors of the
+    norm-jt benchmark, beyond the oracle."""
     rng = random.Random(61)
     xs = [random_vector(rng, JT_INF, max_level=4, max_nodes=8) for _ in range(40)]
-    xs += [_support_vector(rng, size) for size in (14, 18, 24) for _ in range(3)]
+    return xs + [_support_vector(rng, size) for size in (14, 18, 24) for _ in range(3)]
+
+
+def _spy_fills(monkeypatch):
+    """Record `(closure, sums, blocked, dp, below)` for every `_jt_fill` call."""
     fills = []
     original = norms._jt_fill
 
@@ -259,6 +261,15 @@ def test_witness_path_updates_equal_full_reruns(monkeypatch):
         return tables
 
     monkeypatch.setattr(norms, "_jt_fill", spy)
+    return fills
+
+
+def test_witness_path_updates_equal_full_reruns(monkeypatch):
+    # Each witness probe recomputes one root path of the DP tables; every
+    # table it leaves must be the DP run from scratch with the same nodes
+    # blocked.
+    xs = _witness_vectors()
+    fills = _spy_fills(monkeypatch)
     results = [norm(x, JT_INF) for x in xs]
     monkeypatch.undo()
     probes = 0
@@ -269,6 +280,65 @@ def test_witness_path_updates_equal_full_reruns(monkeypatch):
     for x, res in zip(xs, results):
         assert is_admissible(res.witness.segments, JT_INF)
         assert evaluate_family(res.witness, x) == res.value_sq
+
+
+def test_witness_probe_count_is_pinned(monkeypatch):
+    # Probes are the `_jt_fill` calls with a nonempty blocked set.  Only the
+    # chains that head an optimal choice at their top are probed; before
+    # that filter these vectors took 924 probes.
+    fills = _spy_fills(monkeypatch)
+    for x in _witness_vectors():
+        norm(x, JT_INF)
+    assert sum(bool(blocked) for _, _, blocked, _, _ in fills) == 251
+
+
+def _unfiltered_witness(x):
+    """The greedy witness with every unblocked candidate probed by a full DP
+    rerun.  Returns the witness chains and the `(blocked, candidate,
+    feasible)` record of each probe, in order."""
+    closure = Closure(x.support)
+    sums, _ = scaled_prefix_sums(x, closure)
+    radix = norms._jt_radix(closure)
+    goal = norms._jt_value_sq(closure, sums)[0].get((), 0)
+    kept, probes, blocked, acc = [], [], frozenset(), 0
+    for top, bottom, s in norms._jt_candidates(x, closure, sums, RunConfig()):
+        nodes = Segment(top, bottom).nodes()
+        if acc == goal or blocked.intersection(nodes):
+            continue
+        step = acc + s * s * radix * radix - radix - len(nodes)
+        trial = blocked.union(nodes)
+        feasible = step + norms._jt_value_sq(closure, sums, trial)[0][()] == goal
+        probes.append((trial, (top, bottom), feasible))
+        if feasible:
+            kept.append(Segment(top, bottom))
+            blocked, acc = trial, step
+    return tuple(kept), probes
+
+
+def test_witness_filter_skips_only_infeasible_chains(monkeypatch):
+    # The engine probes a chain only if it heads an optimal choice at its top
+    # in the current tables.  Every chain it skips must fail the full-rerun
+    # probe, and the witness must be the unfiltered greedy's.
+    fills = _spy_fills(monkeypatch)
+    runs = []
+    for x in _witness_vectors():
+        del fills[:]
+        res = norm(x, JT_INF)
+        runs.append((x, res, [blocked for _, _, blocked, _, _ in fills if blocked]))
+    monkeypatch.undo()
+    skipped = 0
+    for x, res, probed in runs:
+        kept, probes = _unfiltered_witness(x)
+        assert res.witness.segments == kept, x.entries
+        i = 0
+        for trial, chain, feasible in probes:
+            if i < len(probed) and probed[i] == trial:
+                i += 1
+            else:
+                assert not feasible, (x.entries, chain)
+                skipped += 1
+        assert i == len(probed), x.entries
+    assert skipped > 0
 
 
 def test_naive_norm_is_exact_first_maximum_of_the_stream():
