@@ -3,9 +3,10 @@
 Solves max c.x subject to A x <= b and -1 <= x_j <= 1, all data Fractions.
 The unit box is every caller's first relaxation of a unit ball, so the solver
 owns it as variable bounds (Chvatal, Linear Programming, 1983, ch. 8) rather
-than as 2n rows.  Columns are x_0..x_{n-1} on [-1, 1], then one slack per row
-on [0, inf).  A nonbasic x_j sits at -1, 0 or 1 and starts at 0; with every
-right-hand side nonnegative that start is feasible, so no phase 1 is needed.
+than as 2n rows.  The variables are x_0..x_{n-1} on [-1, 1], then one slack
+per row on [0, inf).  A nonbasic x_j sits at -1, 0 or 1 and starts at 0; with
+every right-hand side nonnegative that start is feasible, so no phase 1 is
+needed.
 
 A cutting-plane caller solves one LP per round with one more row each time.
 An `LPState` keeps the tableau between those calls: a new row enters with its
@@ -13,23 +14,28 @@ slack basic, the old optimal basis stays dual feasible, and a bounded-variable
 dual simplex (ch. 10) restores primal feasibility before the primal loop
 finishes.  A fresh state has no rows and no basis, so a call without a state
 is the cold solve from the all-slack basis.  Both loops choose by the
-smallest-index rule (Bland), in pricing and in the ratio tests, which
-prevents cycling.  Problem sizes here are tiny (tens of rows/columns), so a
-dense tableau is the right tool.
+smallest-index rule (Bland) on variable ids, in pricing and in the ratio
+tests, which prevents cycling.  Problem sizes here are tiny (tens of rows,
+a handful of variables), so a dense tableau is the right tool.
 
-The tableau is fraction-free (in the spirit of Bareiss, Math. Comp. 1968):
-each row is a list of integers over one positive row denominator, its last
-cell holding its basic value, and the reduced costs are integers over one
-positive denominator too, their last cell holding minus the objective value.
-Nonbasic values are integers, so moving one shifts each value cell by an
-integer multiple.  A pivot rests the entering variable at 0 and the leaving
-one at the bound it reached, then scales the pivot row so that its entering
-entry p is positive and becomes its denominator; every other row becomes
-row*p - f*pivot_row over den*p, where f is its entering entry.  One gcd pass
-then reduces each updated row.  Every cell is the same rational a Fraction
-tableau would hold, so every sign and ratio test, and hence every pivot, is
-the same; the ratio tests compare integer cross products, in which the
-positive denominators cancel.
+The tableau is condensed (ch. 8): a basic variable's column is a unit
+column, so each row, and the reduced-cost row, keeps only the n nonbasic
+columns and a value cell.  A pivot hands the entering variable's column to
+the leaving one.  It is fraction-free too (in the spirit of Bareiss, Math.
+Comp. 1968): each row is a list of integers over one positive row
+denominator, its last cell holding its basic value, and the reduced costs
+are integers over one positive denominator, their last cell holding minus
+the objective value.  Nonbasic values are integers, so moving one shifts
+each value cell by an integer multiple.  A pivot rests the entering variable
+at 0 and the leaving one at the bound it reached, then scales the pivot row
+so that its entering entry p is positive and becomes its denominator; every
+other row becomes row*p - f*pivot_row over den*p, where f is its entering
+entry.  One gcd pass then reduces each updated row.  A dropped unit column
+holds 0 in every other row and the row denominator in its own, so that gcd
+is the one over the full row.  Every cell is the same rational a full
+Fraction tableau would hold, so every sign and ratio test, and hence every
+pivot, is the same; the ratio tests compare integer cross products, in which
+the positive denominators cancel.
 """
 
 from __future__ import annotations
@@ -68,15 +74,17 @@ def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
 
 
 class LPState:
-    """The tableau of one LP whose row list only grows between solves.
+    """The condensed tableau of one LP whose row list only grows between solves.
 
-    Row i reads x_{basis[i]} + sum_j (tableau[i][j] / den[i]) x_j = const
-    over nonbasic j, with tableau[i][basis[i]] == den[i] > 0 and a last cell
-    den[i] * x_{basis[i]}; `at` holds the nonbasic values (0 when basic),
-    z[j] / z_den the reduced costs (zero on basic columns, z_den > 0) with a
-    last cell -z_den * c.x, and `rows` the rows absorbed so far, which every
-    later call must repeat as the prefix of its row list.  Create one per LP
-    and pass it to every `simplex_max` call on that LP.
+    Only the n nonbasic columns are stored: `cols[k]` names the variable at
+    column k and `pos[j]` gives variable j's column, or -1 while x_j is
+    basic.  Row i reads x_{basis[i]} + sum_k (tableau[i][k] / den[i])
+    x_{cols[k]} = const with den[i] > 0 and a last cell den[i] *
+    x_{basis[i]}; `at` holds the nonbasic values (0 when basic), z[k] / z_den
+    the reduced cost of x_{cols[k]} (z_den > 0) with a last cell
+    -z_den * c.x, and `rows` the rows absorbed so far, which every later call
+    must repeat as the prefix of its row list.  Create one per LP and pass it
+    to every `simplex_max` call on that LP.
     """
 
     def __init__(self) -> None:
@@ -85,6 +93,8 @@ class LPState:
         self.tableau: list[list[int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
+        self.cols: list[int] = []
+        self.pos: list[int] = []
         self.at: list[int] = []
         self.z: list[int] = []
         self.z_den = 1
@@ -94,7 +104,7 @@ class LPState:
         n = len(c)
         if self.objective is None:
             self.objective = list(c)
-            self.at = [0] * n
+            self.cols, self.pos, self.at = list(range(n)), list(range(n)), [0] * n
             self.z, self.z_den = _integer_row([*c, 0])  # value cell: -c.x at x = 0
         elif list(c) != self.objective:
             raise LPError("LPState was built for another objective")
@@ -102,107 +112,126 @@ class LPState:
         if len(rows) < seen or [(tuple(a), rhs) for a, rhs in rows[:seen]] != self.rows:
             raise LPError("rows do not extend the rows this LPState has absorbed")
         new = rows[seen:]
-        if any(rhs < 0 for _, rhs in new):
+        integer_rows = [_integer_row([*a, rhs]) for a, rhs in new]
+        if any(full[-1] < 0 for full, _ in integer_rows):
             raise LPError("simplex_max requires nonnegative right-hand sides")
         if any(len(a) != n for a, _ in new):
             raise LPError("row length mismatch")
-        tableau, dens, basis, at = self.tableau, self.den, self.basis, self.at
-        for a, rhs in new:
-            m = len(basis)
-            for old in tableau:
-                old.insert(-1, 0)
-            row, den = _integer_row([*a, rhs])
-            cell = row.pop() - sum(aj * v for aj, v in zip(row, at) if v)
-            row += [0] * m + [den, cell]  # the new slack, coefficient 1, then the value cell
-            for b, prow, pden in zip(basis, tableau, dens):  # eliminate the basic columns
-                f = row[b]
+        tableau, dens, basis, pos, at = self.tableau, self.den, self.basis, self.pos, self.at
+        # a basic x_b with b < n has no column: the new row carries its
+        # coefficient after the value cell until it is eliminated, in basis
+        # order, by x_b's row with its unit column restored there
+        eliminate = [(i, b) for i, b in enumerate(basis) if b < n]
+        for (a, rhs), (full, den) in zip(new, integer_rows):
+            row = [0] * n + [full[n] - sum(aj * v for aj, v in zip(full[:n], at) if v)]
+            for j in range(n):
+                if pos[j] >= 0:
+                    row[pos[j]] = full[j]
+            row += [full[b] for _, b in eliminate]
+            for t, (i, _) in enumerate(eliminate, n + 1):
+                f = row[t]
                 if f:
-                    row, den = _eliminate(row, den, f, prow, pden)
+                    prow = tableau[i] + [0] * len(eliminate)
+                    prow[t] = dens[i]
+                    row, den = _eliminate(row, den, f, prow, dens[i])
+            del row[n + 1 :]
+            pos.append(-1)
+            basis.append(len(at))
+            at.append(0)
             tableau.append(row)
             dens.append(den)
-            basis.append(n + m)
-            at.append(0)
-            self.z.insert(-1, 0)
             self.rows.append((tuple(a), rhs))
 
     def _set(self, j: int, v: int) -> None:
-        """Move x_j, nonbasic or leaving the basis, to v; the value cells follow."""
+        """Move the nonbasic x_j to v; the value cells follow."""
+        k = self.pos[j]
         for row in (*self.tableau, self.z):
-            if row[j]:
-                row[-1] -= row[j] * (v - self.at[j])
+            if row[k]:
+                row[-1] -= row[k] * (v - self.at[j])
         self.at[j] = v
 
-    def _pivot(self, leave: int, enter: int, bound: int) -> None:
-        """x_enter becomes basic in row leave; the variable it replaces rests at bound."""
-        self._set(enter, 0)
-        self._set(self.basis[leave], bound)
-        tableau, dens = self.tableau, self.den
+    def _pivot(self, leave: int, k: int, bound: int) -> None:
+        """x_{cols[k]} becomes basic in row leave; the variable it replaces
+        rests at bound and takes over column k."""
+        tableau, dens, cols, pos, at = self.tableau, self.den, self.cols, self.pos, self.at
+        enter, out = cols[k], self.basis[leave]
+        # x_enter rests at 0 first, which moves a row's value cell by f * a
+        a, at[enter], at[out] = at[enter], 0, bound
         pivot_row = tableau[leave]
-        p = pivot_row[enter]
+        p = pivot_row[k]
+        pivot_row[-1] += p * a - dens[leave] * bound
+        pivot_row[k] = dens[leave]  # x_out's unit column, now at column k
         if p < 0:
             pivot_row, p = [-v for v in pivot_row], -p
-        pivot_row, p = _reduced(pivot_row, p)  # over p it reads 1 at enter
+        pivot_row, p = _reduced(pivot_row, p)  # over p it reads 1 at x_enter
         tableau[leave], dens[leave] = pivot_row, p
-        for i, row in enumerate(tableau):
-            if i == leave:
-                continue
-            f = row[enter]
-            if f:
-                tableau[i], dens[i] = _eliminate(row, dens[i], f, pivot_row, p)
-        f = self.z[enter]
+        for i in [i for i, row in enumerate(tableau) if row[k] and i != leave]:
+            row = tableau[i]
+            f, row[k] = row[k], 0
+            row[-1] += f * a
+            tableau[i], dens[i] = _eliminate(row, dens[i], f, pivot_row, p)
+        z = self.z
+        f = z[k]
         if f:
-            self.z, self.z_den = _eliminate(self.z, self.z_den, f, pivot_row, p)
+            z[k] = 0
+            z[-1] += f * a
+            self.z, self.z_den = _eliminate(z, self.z_den, f, pivot_row, p)
+        cols[k], pos[out], pos[enter] = out, k, -1
         self.basis[leave] = enter
 
     def _dual_simplex(self, n: int) -> None:
         """Pivot basic variables back inside their bounds, keeping z dual feasible."""
-        at = self.at
+        at, cols, basis = self.at, self.cols, self.basis
         while True:
-            leave = -1
-            for i, (b, row, d) in enumerate(zip(self.basis, self.tableau, self.den)):
-                # Bland: the smallest index outside its bounds leaves
-                if (row[-1] < _lower(b, n) * d or b < n and row[-1] > d) and (leave < 0 or b < self.basis[leave]):
-                    leave = i
-            if leave < 0:
+            outside = [
+                b
+                for b, row, d in zip(basis, self.tableau, self.den)
+                if (row[-1] < -d or row[-1] > d if b < n else row[-1] < 0)
+            ]
+            if not outside:
                 return
-            r, row, z = self.basis[leave], self.tableau[leave], self.z
+            r = min(outside)  # Bland: the smallest index outside its bounds leaves
+            leave = basis.index(r)
+            row, z = self.tableau[leave], self.z
             rise = row[-1] < _lower(r, n) * self.den[leave]
             target = _lower(r, n) if rise else 1
             # x_r changes by -t per unit of x_j; x_j must move the way that
             # carries x_r towards target and that its own bounds allow.  The
-            # least ratio |z_j / t_j| wins; the positive denominators of the
-            # row and of z cancel from the cross-multiplied comparison
-            enter, best_z, best_t = -1, 0, 1
-            for j, t in enumerate(row[:-1]):
-                if not t or j == r:
+            # least ratio |z_j / t_j| wins, ties to the smallest index; the
+            # positive denominators of the row and of z cancel from the
+            # cross-multiplied comparison
+            enter, best_j, best_z, best_t = -1, -1, 0, 1
+            for k, t in enumerate(row[:-1]):
+                if not t:
                     continue
+                j = cols[k]
                 up = (t < 0) == rise
                 if up and j < n and at[j] >= 1 or not up and at[j] <= _lower(j, n):
                     continue
-                zj, tj = abs(z[j]), abs(t)
-                if enter < 0 or zj * best_t < best_z * tj:
-                    enter, best_z, best_t = j, zj, tj
+                zj, tj = abs(z[k]), abs(t)
+                if enter < 0 or zj * best_t < best_z * tj or (zj * best_t == best_z * tj and j < best_j):
+                    enter, best_j, best_z, best_t = k, j, zj, tj
             if enter < 0:
                 raise LPError("internal error: infeasible LP with nonnegative right-hand sides")
             self._pivot(leave, enter, target)
 
     def _primal_simplex(self, n: int) -> None:
         """Bounded-variable primal simplex from a feasible basis to an optimum."""
-        at = self.at
+        at, cols = self.at, self.cols
         while True:
-            enter = -1
-            for j, d in enumerate(self.z[:-1]):  # Bland: smallest index that can improve
-                if (d > 0 and (j >= n or at[j] < 1)) or (d < 0 and at[j] > _lower(j, n)):
-                    enter = j
-                    break
+            enter, j = -1, -1  # Bland: the smallest index that can improve
+            for k, d in enumerate(self.z[:-1]):
+                var = cols[k]
+                if (enter < 0 or var < j) and (d > 0 and (var >= n or at[var] < 1) or d < 0 and at[var] > _lower(var, n)):
+                    enter, j = k, var
             if enter < 0:
                 return
             sign = 1 if self.z[enter] > 0 else -1
             # ratio test: the first variable to reach a bound, ties to the
             # smallest index; the entering variable's own opposite bound is a
             # candidate.  A step is gap / rate with rate > 0
-            gap, rate = (1 - sign * at[enter], 1) if enter < n else (None, 1)
-            leave, blocker, bound = -1, enter, 0
+            gap, rate = (1 - sign * at[j], 1) if j < n else (None, 1)
+            leave, blocker, bound = -1, j, 0
             for i, (b, row, d) in enumerate(zip(self.basis, self.tableau, self.den)):
                 r = sign * row[enter]  # x_b falls at r / d per unit step
                 if r > 0:
@@ -219,11 +248,11 @@ class LPState:
             if leave >= 0:
                 self._pivot(leave, enter, bound)
             else:  # a bound flip: the entering variable stays nonbasic
-                self._set(enter, sign)
+                self._set(j, sign)
 
 
 def _lower(j: int, n: int) -> int:
-    """The lower bound of column j: -1 for x_j, 0 for a slack."""
+    """The lower bound of variable j: -1 for x_j, 0 for a slack."""
     return -1 if j < n else 0
 
 

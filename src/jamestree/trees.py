@@ -48,8 +48,10 @@ class Segment:
     bottom: Node
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "top", tuple(self.top))
-        object.__setattr__(self, "bottom", tuple(self.bottom))
+        if type(self.top) is not tuple:  # lists and tuple subclasses become tuples
+            object.__setattr__(self, "top", tuple(self.top))
+        if type(self.bottom) is not tuple:
+            object.__setattr__(self, "bottom", tuple(self.bottom))
         if not is_prefix(self.top, self.bottom):
             raise InvalidSegmentError(
                 f"top {wire_text(self.top)} is not an ancestor-or-equal of bottom {wire_text(self.bottom)}"

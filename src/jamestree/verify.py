@@ -220,25 +220,18 @@ def check_sqrt2_bound(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
 # --- criterion 4: exhaustive disjoint pair sweep, 5/3 ------------------------
 
 def _canonical_pair_key(r_seg: Segment, s_seg: Segment):
-    mapping: dict = {}
-    next_idx: dict = {}
+    """The pair relabeled so that, walking r's bottom and then s's bottom,
+    each new child of a node takes that node's next free index.
 
-    def relabel(path):
-        cur = ()
-        out = []
-        for idx in path:
-            key = (cur, idx)
-            if key not in mapping:
-                mapping[key] = next_idx.get(cur, 0)
-                next_idx[cur] = mapping[key] + 1
-            val = mapping[key]
-            out.append(val)
-            cur = cur + (val,)
-        return tuple(out)
-
-    # a top is a prefix of its bottom, so it relabels to a prefix of it
-    r_bottom, s_bottom = relabel(r_seg.bottom), relabel(s_seg.bottom)
-    return (r_bottom[: len(r_seg.top)], r_bottom, s_bottom[: len(s_seg.top)], s_bottom)
+    r's bottom becomes all zeros.  s's bottom follows it to their first
+    difference, which becomes a second child (1), and goes on through fresh
+    first children (0); with no difference it is all zeros.  A top is a
+    prefix of its bottom, so it relabels to a prefix of it."""
+    r_bottom, s_bottom = r_seg.bottom, s_seg.bottom
+    d = next((i for i, (u, v) in enumerate(zip(r_bottom, s_bottom)) if u != v), None)
+    r_key = (0,) * len(r_bottom)
+    s_key = (0,) * len(s_bottom) if d is None else (0,) * d + (1,) + (0,) * (len(s_bottom) - d - 1)
+    return (r_key[: len(r_seg.top)], r_key, s_key[: len(s_seg.top)], s_key)
 
 
 def check_53_bound(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
@@ -270,19 +263,20 @@ def check_53_bound(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
                                     continue
                                 pairs += 1
                                 key = _canonical_pair_key(seg_r, seg_s)
-                                if key not in memo:
+                                if key not in memo:  # the class is judged once
                                     g = segment_functional(*seg_r.sort_key()) - segment_functional(
                                         *seg_s.sort_key()
                                     )
                                     cert = dual_norm(g, JH_INF, tol=tol, config=config)
-                                    memo[key] = (cert.lower, cert.upper)
-                                lower, upper = memo[key]
-                                if upper > limit:
+                                    lower, upper = cert.lower, cert.upper
+                                    memo[key] = (upper, upper > limit, q == r and not (lower == upper == 1))
+                                    if q < r:
+                                        nonaligned_values.add(upper)
+                                upper, over, not_one = memo[key]
+                                if over:
                                     problems.append(f"pair ({seg_r}, {seg_s}) upper {upper} > 5/3 + 1e-9")
-                                if q == r and not (lower == upper == 1):
+                                if not_one:
                                     problems.append(f"aligned pair ({seg_r}, {seg_s}) != 1 exactly")
-                                if q < r:
-                                    nonaligned_values.add(upper)
     elapsed = time.monotonic() - started
     if elapsed >= 300:
         problems.append("runtime over the 5-minute limit")

@@ -15,6 +15,7 @@ from jamestree.functionals import (
     segment_functional,
     validate_functional,
 )
+from jamestree.lp import LPState
 from jamestree.norms import norm
 from jamestree.reference import dense_dual_norm_l1, grid_scan_dual_norm_jt
 from jamestree.sampling import random_signed_family, random_vector
@@ -243,13 +244,10 @@ def test_zero_functional():
     assert cert.lower == cert.upper == 0
 
 
-def test_dual_norm_certificates_are_pinned():
-    # bounds, witness, cuts and rounds of seeded signed families and their
-    # differences in all four spaces, hashed as JSON records; the cut rows
-    # and the iterates come from the LP, so this pins its optimizers too.
-    # The hash was taken from the solver that kept Fraction variable values
+def _pinned_certificate_inputs():
+    """(functional, space, tol) for seeded signed families and their
+    differences in all four spaces."""
     rng = random.Random(2022)
-    digest = hashlib.sha256()
     for space in ALL_SPACES:
         jt = space is JT_INF
         for _ in range(12):
@@ -257,6 +255,36 @@ def test_dual_norm_certificates_are_pinned():
             g = random_signed_family(rng, space, 2 if jt else 3)
             for h in (f, f - g):
                 if h.coefficient_map():
-                    cert = dual_norm(h, space, tol=Fraction(1, 10**6) if jt else None)
-                    digest.update(json.dumps(dual_cert_to_json(cert), sort_keys=True).encode() + b"\n")
+                    yield h, space, Fraction(1, 10**6) if jt else None
+
+
+def test_dual_norm_certificates_are_pinned():
+    # bounds, witness, cuts and rounds of the pinned inputs, hashed as JSON
+    # records; the cut rows and the iterates come from the LP, so this pins
+    # its optimizers too.  The hash was taken from the solver that kept
+    # Fraction variable values
+    digest = hashlib.sha256()
+    for h, space, tol in _pinned_certificate_inputs():
+        cert = dual_norm(h, space, tol=tol)
+        digest.update(json.dumps(dual_cert_to_json(cert), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == "e942a1bb4b798e02ec75b4c9b6c67e6f60f7b8ebd5348d938374102a20923470"
+
+
+def test_pivot_count_is_pinned(monkeypatch):
+    # an exact work counter: simplex pivots over the pinned inputs, the
+    # count of the full-tableau solver; bound flips are not pivots
+    pivots = 0
+    real = LPState._pivot
+
+    def counted(self, *args):
+        nonlocal pivots
+        pivots += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(LPState, "_pivot", counted)
+    calls = 0
+    for h, space, tol in _pinned_certificate_inputs():
+        dual_norm(h, space, tol=tol)
+        calls += 1
+    assert calls == 95
+    assert pivots == 1670

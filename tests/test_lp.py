@@ -177,6 +177,24 @@ def test_warm_start_matches_cold_and_vertex_enumeration_on_rational_data():
     _check_warm_start(random.Random(13), 80, _small_fraction, _rational_row)
 
 
+def test_warm_state_keeps_only_the_nonbasic_columns():
+    rng = random.Random(31)
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        c = [_small_fraction(rng) for _ in range(n)]
+        state = LPState()
+        rows = []
+        new_row = _random_row if trial % 2 else _rational_row
+        while len(rows) <= 14:
+            simplex_max(c, rows, state)
+            m = len(rows)
+            assert all(len(row) == n + 1 for row in state.tableau) and len(state.z) == n + 1
+            assert sorted(state.cols + state.basis) == list(range(n + m))
+            assert [state.pos[j] for j in state.cols] == list(range(n))
+            assert all(state.pos[b] == -1 for b in state.basis)
+            rows = rows + [new_row(rng, n) for _ in range(rng.randint(1, 2))]
+
+
 def test_pivot_path_is_pinned():
     """Optimizers at tied optima depend on the pivot order, so a hash of every
     (value, x) repr over seeded warm-start sequences pins that order.  Each

@@ -35,6 +35,17 @@ def test_segment_chain_examples():
         Segment((1,), (0,))
 
 
+def test_segment_stores_tuples():
+    class Path(tuple):
+        pass
+
+    seg = Segment([1], Path((1, 0)))
+    assert type(seg.top) is tuple and type(seg.bottom) is tuple
+    assert seg == Segment((1,), (1, 0)) and hash(seg) == hash(Segment((1,), (1, 0)))
+    with pytest.raises(InvalidSegmentError):
+        Segment([1], [0, 1])
+
+
 def test_is_admissible_examples():
     # a 0-1 and a 1-1 segment are not aligned in JH
     assert not is_admissible([Segment((), (0,)), Segment((1,), (1,))], JH)
