@@ -142,6 +142,9 @@ def sd2p_witnesses(
         if cert.upper > 1:
             raise CertificationError("slice functional not certified inside the dual ball")
         certs.append(cert)
+    for (_, alpha), cert in zip(slices, certs):  # no point of the ball is in an empty slice
+        if cert.upper <= 1 - alpha:
+            raise PreconditionError(f"the slice is empty: dual norm {cert.upper} <= 1 - alpha")
 
     interior: list[SparseVector] = []
     for (g, alpha), cert in zip(slices, certs):

@@ -2,30 +2,30 @@
 
 The optimized engine never enumerates families wholesale.  Its aligned
 sweep and its JT_INF DP read chain sums one way: `trees.scaled_prefix_sums`
-gives integer root-to-node sums over the lcm `scale` of the entry
-denominators, and a chain's sum is the bottom's sum minus that of the top's
-parent.  For the level-aligned (L1) spaces the norm is the best (p, q) level
-window, and a window's optimum is the sum, over the level-p nodes, of the
-largest absolute chain sum under each (chains under distinct level-p nodes
-never conflict, and no two admissible segments can share a level-p node).
-One children-first pass bounds each top level p by the sum, over its
+gives integer root-to-node sums, by lex index of the support closure, over
+the lcm `scale` of the entry denominators, and a chain's sum is the bottom's
+sum minus that of the top's parent.  For the level-aligned (L1) spaces the
+norm is the best (p, q) level window, and a window's optimum is the sum,
+over the level-p nodes, of the largest absolute chain sum under each (chains
+under distinct level-p nodes never conflict, and no two admissible segments
+can share a level-p node).  The sweep runs on the closure's lex index
+arrays.  One reverse-index pass bounds each top level p by the sum, over its
 tops, of the largest absolute chain sum in the top's subtree; that bound is
 at least every window total at level p, and equals the q = depth total when
 every node is extendable (JH_INF, M_HYP).  Levels are visited in decreasing
 bound order, and a level whose bound falls strictly below the best total
 found so far is skipped, so no attaining window is lost.  The subtree of each
-visited top is walked once and yields its optimum for every bottom level q at
-once; only the windows that attain the largest total are turned into
-segments.  For JT_INF one packing DP over the support closure
-gives the value.  Its key (norm² times scale², then the negated segment and
-node counts) is packed into one integer whose order is the lex order.  The
-witness is built greedily over the candidate chains, integer triples
-`(top, bottom, scaled sum)`.  A chain is probed only when it heads an
+visited top, an index range, is walked once and yields its optimum for every
+bottom level q at once; only the windows that attain the largest total are
+turned into segments of nodes.  For JT_INF one packing DP, on node-keyed
+tables, gives the value.  Its key (norm² times scale², then the negated
+segment and node counts) is packed into one integer whose order is the lex
+order.  The witness is built greedily over the candidate chains, integer
+triples `(top, bottom, scaled sum)`.  A chain is probed only when it heads an
 optimal choice at its top in the current tables; each probe blocks one more
 chain and recomputes only the DP entries on the root path of the chain's
-bottom, since no other subtree holds a newly blocked node.  The naive
-exhaustive oracle lives in `reference` and is used in tests only; both
-routes must agree exactly.
+bottom, since no other subtree holds a newly blocked node.  The exhaustive
+oracle in `reference` is an independent route; both must agree exactly.
 
 Witnesses are deterministic: the attaining family that is first in the
 canonical enumeration order (segment count, then node count, then lex).
@@ -98,40 +98,40 @@ class NormResult:
 
 
 def _top_optima(
-    closure: Closure, sums: dict[Node, int], top: Node, space: SpaceSpec
-) -> list[tuple[int, list[Node]]]:
-    """Best |chain sum| of a segment topped at `top`, per bottom level q.
+    closure: Closure, sums: list[int], open_: list[bool] | None, t: int
+) -> list[tuple[int, list[int]]]:
+    """Best |chain sum| of a segment topped at node t, per bottom level q.
 
-    Entry `q - len(top)` holds, for q up to `closure.max_level`, the largest
-    absolute core sum and every core bottom attaining it (empty when that is
-    0).  A core may end at level q, or above q at a node that can continue
-    through zero-valued fresh nodes (`closure.extendable`).  One walk of the
-    subtree records both per level; a running maximum of the second over the
-    levels above q then serves every q at once.
+    Nodes are lex indices, and `open_[i]` is `closure.extendable` of node i
+    (`None`: every node is).  Entry `q - level[t]` holds, for q up to
+    `closure.max_level`, the largest absolute core sum and every core bottom
+    attaining it (empty when that is 0).  A core may end at level q, or
+    above q at an extendable node.  One walk of the subtree's index range
+    records both per level; a running maximum of the second over the levels
+    above q then serves every q at once.
     """
-    base = sums[top[:-1]] if top else 0
-    levels = closure.max_level - len(top) + 1
-    # per level d below `top`: best core ending there, and best extendable one
-    exact = [0] * levels
-    exact_ties: list[list[Node]] = [[] for _ in range(levels)]
-    ext = [0] * levels
-    ext_ties: list[list[Node]] = [[] for _ in range(levels)]
-    stack = [top]
-    while stack:
-        v = stack.pop()
-        a = abs(sums[v] - base)
-        d = len(v) - len(top)
+    level, base = closure.level, sums[closure.parent[t]]
+    top = level[t]
+    levels = closure.max_level - top + 1
+    # per level d below t: best core ending there, and best extendable one;
+    # the shared empty tie lists are replaced before any tie is appended
+    exact, exact_ties = [0] * levels, [[]] * levels
+    ext, ext_ties = (exact, exact_ties) if open_ is None else ([0] * levels, [[]] * levels)
+    for v in range(t, closure.end[t]):
+        a = sums[v] - base
         if a:
+            if a < 0:
+                a = -a
+            d = level[v] - top
             if a > exact[d]:
                 exact[d], exact_ties[d] = a, [v]
             elif a == exact[d]:
                 exact_ties[d].append(v)
-            if closure.extendable(v, space):
+            if open_ is not None and open_[v]:
                 if a > ext[d]:
                     ext[d], ext_ties[d] = a, [v]
                 elif a == ext[d]:
                     ext_ties[d].append(v)
-        stack.extend(closure.children[v])
     optima = []
     run, run_ties = 0, []  # best extendable core ending above the current level
     for d in range(levels):
@@ -148,60 +148,60 @@ def _top_optima(
     return optima
 
 
-def _level_bounds(closure: Closure, sums: dict[Node, int], p_min: int) -> dict[int, int]:
+def _level_bounds(closure: Closure, sums: list[int], p_min: int) -> dict[int, int]:
     """Upper bound on every window total at top level p, for each p >= `p_min`.
 
-    One children-first pass gives each node the largest and least scaled
-    prefix sum in its subtree.  With `base` the sum at a top's parent, the
-    larger of `hi - base` and `base - lo` is the largest absolute chain sum
-    from that top down to any subtree node, which is at least the top's
-    optimum for every bottom level q (each subtree node is a core bottom at
-    its own level).  The bound of p sums that over the level-p tops; it is
-    the q = depth total when every node is extendable.
+    One reverse-index pass gives each node the largest and least scaled
+    prefix sum in its subtree, pushed on to its parent.  With `base` the sum
+    at a top's parent, the larger of `hi - base` and `base - lo` is the
+    largest absolute chain sum from that top down to any subtree node, which
+    is at least the top's optimum for every bottom level q (each subtree node
+    is a core bottom at its own level).  The bound of p sums that over the
+    level-p tops; it is the q = depth total when every node is extendable.
     """
-    children = closure.children
-    hi: dict[Node, int] = {}
-    lo: dict[Node, int] = {}
-    bounds = dict.fromkeys(range(p_min, closure.max_level + 1), 0)
-    for u in reversed(closure.sorted_nodes):
-        h = l = sums[u]
-        for c in children[u]:
-            if hi[c] > h:
-                h = hi[c]
-            if lo[c] < l:
-                l = lo[c]
-        hi[u], lo[u] = h, l
-        if len(u) >= p_min:
-            base = sums[u[:-1]] if u else 0
-            bounds[len(u)] += max(h - base, base - l)
-    return bounds
+    parent, level = closure.parent, closure.level
+    hi, lo = sums[:], sums[:]  # the extra entry above the root takes its push
+    bounds = [0] * (closure.max_level + 1)
+    for u in range(len(parent) - 1, -1, -1):
+        h, l, up = hi[u], lo[u], parent[u]
+        if h > hi[up]:
+            hi[up] = h
+        if l < lo[up]:
+            lo[up] = l
+        base = sums[up]
+        bounds[level[u]] += h - base if h - base > base - l else base - l
+    return {p: bounds[p] for p in range(p_min, len(bounds))}
 
 
 def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormResult:
     """Norm of a level-aligned space: the best (p, q) window, in integers.
 
-    Chain sums are integers over `scale` (`scaled_prefix_sums`).  Top levels
+    Nodes are lex indices, chain sums integers over `scale`.  Top levels
     p >= `space.min_top_level` are visited in decreasing `_level_bounds`
     order, and each top of a visited level has its subtree walked once
     (`_top_optima`); a window's total is the sum of its tops' optima.  A
     level whose bound is strictly below the best total so far holds no
     attaining window, so it and every level after it are skipped.  Only the
-    windows that attain the largest total are materialized, and of those the
-    family first in canonical order is the witness.
+    windows that attain the largest total are materialized as nodes, and of
+    those the family first in canonical order is the witness.
     """
     closure = Closure(x.support)
     sums, scale = scaled_prefix_sums(x, closure)
-    p_min, depth = space.min_top_level, closure.max_level
+    nodes, p_min, depth = closure.sorted_nodes, space.min_top_level, closure.max_level
+    open_ = [closure.extendable(n, space) for n in nodes] if space.dyadic else None
+    tops: list[list[int]] = [[] for _ in range(depth + 1)]
+    for i, lev in enumerate(closure.level):
+        tops[lev].append(i)
     bounds = _level_bounds(closure, sums, p_min)
-    optima: dict[Node, list[tuple[int, list[Node]]]] = {}
+    optima: dict[int, list[tuple[int, list[int]]]] = {}
     totals: dict[tuple[int, int], int] = {}
     best_total = 0
     for p in sorted(bounds, key=bounds.__getitem__, reverse=True):
         if bounds[p] < best_total:
             break
         row = [0] * (depth - p + 1)
-        for u in closure.by_level[p]:
-            optima[u] = _top_optima(closure, sums, u, space)
+        for u in tops[p]:
+            optima[u] = _top_optima(closure, sums, open_, u)
             for d, (best, _) in enumerate(optima[u]):
                 row[d] += best
         for d, total in enumerate(row):
@@ -214,12 +214,12 @@ def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormR
 
     def family(p: int, q: int) -> AdmissibleFamily:
         parts = []
-        for u in closure.by_level[p]:
+        for u in tops[p]:
             best, ties = optima[u][q - p]
             if best:
                 parts.append(
                     min(
-                        (materialize_core(closure, u, v, q, space, fresh) for v in ties),
+                        (materialize_core(closure, nodes[u], nodes[v], q, space, fresh) for v in ties),
                         key=Segment.sort_key,
                     )
                 )
@@ -232,19 +232,20 @@ def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormR
     return NormResult(space, Fraction(best_total, scale), None, witness)
 
 
-def _jt_candidates(x: SparseVector, closure: Closure, sums, config: RunConfig):
+def _jt_candidates(x: SparseVector, closure: Closure, sums: list[int], config: RunConfig):
     """Support-meeting closure chains with nonzero sum, in canonical order,
     as integer triples `(top, bottom, scaled sum)`.
 
-    Tops in lex order, each with its bottoms in lex order, are already in
-    `Segment.sort_key` order."""
+    Tops in lex order, each with its subtree's bottoms in lex order, are
+    already in `Segment.sort_key` order."""
+    nodes, parent, end = closure.sorted_nodes, closure.parent, closure.end
     cands: list[tuple[Node, Node, int]] = []
-    for top in closure.sorted_nodes:
-        above = sums[top[:-1]] if top else 0
-        for bottom in closure.descendants_or_self(top):
-            s = sums[bottom] - above
+    for t, top in enumerate(nodes):
+        above = sums[parent[t]]
+        for b in range(t, end[t]):
+            s = sums[b] - above
             if s != 0:
-                cands.append((top, bottom, s))
+                cands.append((top, nodes[b], s))
                 if len(cands) > config.candidate_cap:
                     raise EnumerationCapError(f"candidate segments exceeded cap {config.candidate_cap}")
     return cands
@@ -257,7 +258,7 @@ def _jt_radix(closure: Closure) -> int:
     at most |closure| < W/4, so integer order is the lex order of
     (a, −segments, −nodes), and sums over disjoint parts stay exact.
     """
-    return 4 * (len(closure.nodes) + 1)
+    return 4 * (len(closure.sorted_nodes) + 1)
 
 
 def _jt_fill(
@@ -366,10 +367,11 @@ def norm(x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) 
 
     closure = Closure(x.support)
     sums, scale = scaled_prefix_sums(x, closure)
-    tables = _jt_value_sq(closure, sums)
+    node_sums = dict(zip(closure.sorted_nodes, sums))  # the DP tables are keyed by node
+    tables = _jt_value_sq(closure, node_sums)
     goal = tables[0].get(ROOT, 0)  # the zero vector has an empty closure
     cands = _jt_candidates(x, closure, sums, config)
-    witness = _jt_witness(goal, closure, sums, cands, tables)
+    witness = _jt_witness(goal, closure, node_sums, cands, tables)
     unit = _jt_radix(closure) ** 2
     # the count part of the key lies in [0, unit/4), so rounding recovers `a`
     return NormResult(space, None, Fraction((goal + unit // 2) // unit, scale * scale), witness)

@@ -6,8 +6,9 @@ spaces) or a grid scan (JT_INF) for dual norms.  The norm oracle walks the
 same candidate groups and disjoint-subset DFS as
 `trees.enumerate_admissible_families`, but scores each family as it is
 emitted instead of materializing and sorting the stream, so its memory is
-linear in the candidates; it uses nothing from `norms`.  Nothing in the
-package imports this module outside of tests and the verification suite.
+linear in the candidates; the grid scan scores its points with it too, so
+nothing here uses `norms` or `dualnorm`.  Nothing in the package imports
+this module outside of tests and the verification suite.
 """
 
 from __future__ import annotations
@@ -253,8 +254,6 @@ def grid_scan_dual_norm_jt(
     the l1 norm, so the objective is Lipschitz with constant sum(|coeffs|)
     and the grid mesh is (dim * h / 2) in l1 distance.
     """
-    from .norms import norm as norm_engine
-
     space = SpaceSpec(SpaceKind.JT_INF)
     dim = len(variables)
     h = Fraction(1, steps)
@@ -268,16 +267,16 @@ def grid_scan_dual_norm_jt(
             vec = SparseVector(tuple((v, c) for v, c in zip(variables, point) if c != 0))
             if vec.is_zero:
                 return
-            res = norm_engine(vec, space, config)
+            norm_sq = naive_norm(vec, space, config)[0]
             g_val = sum(c * p for c, p in zip(coeffs, point))
             if g_val <= 0:
                 return
             # bracket g(p)/||p|| with rational approximations of 1/sqrt
-            root_lo, root_hi = sqrt_bounds(res.value_sq, 10**9)
-            cand = g_val * (root_lo / res.value_sq)
+            root_lo, root_hi = sqrt_bounds(norm_sq, 10**9)
+            cand = g_val * (root_lo / norm_sq)
             if cand > best_lower:
                 best_lower = cand
-            cand_up = g_val * (root_hi / res.value_sq)
+            cand_up = g_val * (root_hi / norm_sq)
             if cand_up > best_point_upper:
                 best_point_upper = cand_up
             return

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
@@ -139,32 +140,56 @@ def max_index_used(paths: Iterable[Node]) -> int:
 
 
 class Closure:
-    """Ancestor closure of a finite support, indexed for chain traversal."""
+    """Ancestor closure of a finite support, indexed for chain traversal.
+
+    One pass over the sorted support builds it: each support node adds its
+    prefixes longer than its common prefix with the previous one, in lex
+    order.  Node i of `sorted_nodes` has level `level[i]`, parent `parent[i]`
+    (-1 for the root) and subtree `sorted_nodes[i:end[i]]`; the node-keyed
+    `children` and `by_level` are built on first use.
+    """
 
     def __init__(self, support: Iterable[Node]):
-        self.support: frozenset[Node] = frozenset(tuple(n) for n in support)
-        self.nodes: frozenset[Node] = frozenset(n[:k] for n in self.support for k in range(len(n) + 1))
-        self.sorted_nodes: tuple[Node, ...] = tuple(sorted(self.nodes))
-        # Lex order lists every parent before its children, each group sorted.
-        children: dict[Node, list[Node]] = {n: [] for n in self.sorted_nodes}
-        by_level: dict[int, list[Node]] = {}
-        for node in self.sorted_nodes:
-            if node:
-                children[node[:-1]].append(node)
-            by_level.setdefault(len(node), []).append(node)
-        self.children: dict[Node, tuple[Node, ...]] = {n: tuple(c) for n, c in children.items()}
-        self.by_level: dict[int, tuple[Node, ...]] = {d: tuple(ns) for d, ns in by_level.items()}
-        self.max_level: int = max(by_level, default=-1)
+        leaves = sorted(map(tuple, support))  # a repeated node adds no prefix
+        self.support: frozenset[Node] = frozenset(leaves)
+        nodes, level, parent, end, path, prev = [], [], [], [], [], ()  # path: indices of prev's prefixes
+        for leaf in leaves:
+            k = 0
+            if path:
+                stop = min(len(leaf), len(prev))
+                while k < stop and leaf[k] == prev[k]:
+                    k += 1
+                k += 1  # the common prefix, root included, is already in place
+                for i in path[k:]:
+                    end[i] = len(nodes)
+                del path[k:]
+            for k in range(k, len(leaf) + 1):
+                path.append(len(nodes))
+                parent.append(path[-2] if k else -1)
+                nodes.append(leaf[:k])
+                level.append(k)
+                end.append(0)
+            prev = leaf
+        self.sorted_nodes: tuple[Node, ...] = tuple(nodes)
+        self.nodes: frozenset[Node] = frozenset(nodes)
+        self.level, self.parent, self.max_level = level, parent, max(level, default=-1)
+        self.end: list[int] = [e or len(nodes) for e in end]  # subtrees still open at the last leaf
+
+    @cached_property
+    def children(self) -> dict[Node, tuple[Node, ...]]:
+        kids: list[list[Node]] = [[] for _ in self.sorted_nodes]
+        for node, up in zip(self.sorted_nodes[1:], self.parent[1:]):
+            kids[up].append(node)
+        return dict(zip(self.sorted_nodes, map(tuple, kids)))
+
+    @cached_property
+    def by_level(self) -> dict[int, tuple[Node, ...]]:
+        return {d: tuple(n for n in self.sorted_nodes if len(n) == d) for d in range(self.max_level + 1)}
 
     def descendants_or_self(self, node: Node) -> tuple[Node, ...]:
-        """The closure nodes under `node`, itself included, in lex order.
-
-        In `sorted_nodes` they are the contiguous run from `node` up to its
-        successor key, the next sibling index under the same parent."""
-        if not node:
-            return self.sorted_nodes
-        start = bisect_left(self.sorted_nodes, node)
-        return self.sorted_nodes[start : bisect_left(self.sorted_nodes, node[:-1] + (node[-1] + 1,), start)]
+        """The closure nodes under closure node `node`, itself included, in lex order."""
+        i = bisect_left(self.sorted_nodes, node)
+        return self.sorted_nodes[i : self.end[i]]
 
     def extendable(self, node: Node, space: SpaceSpec) -> bool:
         """Can a chain stop here and continue through zero-valued fresh nodes?
@@ -188,19 +213,19 @@ class Closure:
         return any(bottom[:k] in self.support for k in range(len(top), len(bottom) + 1))
 
 
-def scaled_prefix_sums(x: SparseVector, closure: Closure) -> tuple[dict[Node, int], int]:
+def scaled_prefix_sums(x: SparseVector, closure: Closure) -> tuple[list[int], int]:
     """Root-to-node sums of x over the closure, in integers, and their scale.
 
     With `scale` the lcm of the entry denominators, every sum is an integer
-    multiple of 1/scale; `sums[n]` holds that multiple.  The chain sum of
-    top..bottom is `(sums[bottom] - sums[top[:-1]]) / scale`, with 0 in place
-    of the parent's sum when top is the root.
+    multiple of 1/scale; `sums[i]` holds that multiple for node i of
+    `closure.sorted_nodes`, and `sums[-1] == 0` the sum above the root.  The
+    chain sum of top t down to b is `(sums[b] - sums[closure.parent[t]]) / scale`.
     """
     scale = lcm(*(v.denominator for _, v in x.entries))
     scaled = {n: v.numerator * (scale // v.denominator) for n, v in x.entries}
-    sums: dict[Node, int] = {}
-    for node in closure.sorted_nodes:  # lex order puts every parent first
-        sums[node] = (sums[node[:-1]] if node else 0) + scaled.get(node, 0)
+    sums = [0] * (len(closure.sorted_nodes) + 1)
+    for i, (node, up) in enumerate(zip(closure.sorted_nodes, closure.parent)):
+        sums[i] = sums[up] + scaled.get(node, 0)  # lex order puts every parent first
     return sums, scale
 
 

@@ -126,6 +126,22 @@ def test_sd2p_rejects_a_functional_outside_the_dual_ball():
         sd2p_witnesses(((g, Fraction(1, 4)),), (Fraction(1),), JH)
 
 
+def test_sd2p_rejects_an_empty_slice_before_building_points(monkeypatch):
+    # ||g|| = 1/2 <= 1 - alpha, so S(B, g, 1/4) is empty and no certificate
+    # exists; the call used to build an interior point and then report it
+    # as a failed construction
+    g = segment_functional((), (0,)).scale(Fraction(1, 2))
+    assert dual_norm(g, JH).upper == Fraction(1, 2)
+
+    def no_points(*args, **kwargs):
+        raise AssertionError("a point was built for an empty slice")
+
+    monkeypatch.setattr(certificates, "norm", no_points)
+    message = r"^the slice is empty: dual norm 1/2 <= 1 - alpha$"
+    with pytest.raises(PreconditionError, match=message):
+        sd2p_witnesses(((g, Fraction(1, 4)),), (Fraction(1),), JH)
+
+
 @pytest.mark.parametrize(
     "count, weights, message",
     [
@@ -200,7 +216,7 @@ def test_sd2p_and_ccw_certificates_are_pinned():
         slices = tuple((x, rng.choice((Fraction(1, 8), Fraction(1, 2), Fraction(3)))) for x in vectors)
         weights = random_weights(rng, k)
         record(lambda: ccw_cert_to_json(m_ccw_witness(slices, weights)))
-    assert digest.hexdigest() == "54605f7c8259d60bdccc1d04bf7cffafb0bd74d9201b5c6495642818e343fbbe"
+    assert digest.hexdigest() == "45999e09a467471964210ca68dc584581d2b6655c17897e90ecc9659d439f8fb"
 
 
 def test_octahedrality_examples():

@@ -211,3 +211,41 @@ def test_descendants_or_self_is_the_prefix_run():
         for node in closure.sorted_nodes:
             expected = tuple(n for n in closure.sorted_nodes if is_prefix(node, n))
             assert closure.descendants_or_self(node) == expected, (support, node)
+
+
+def _closure_by_definition(support):
+    """The closure views from the set of all prefixes, sorted."""
+    support = frozenset(tuple(n) for n in support)
+    nodes = tuple(sorted(frozenset(n[:k] for n in support for k in range(len(n) + 1))))
+    children = {n: tuple(c for c in nodes if c and c[:-1] == n) for n in nodes}
+    by_level = {}
+    for n in nodes:
+        by_level[len(n)] = by_level.get(len(n), ()) + (n,)
+    return support, nodes, children, by_level, max(by_level, default=-1)
+
+
+def test_one_pass_closure_matches_the_prefix_set():
+    # unsorted input, list-typed nodes, duplicates, the root alone and the
+    # empty support, besides seeded supports with child indices past 9
+    rng = random.Random(101)
+    supports = [[], [()], [(), ()], [[0, 1], (0, 1), [2]], [(3,), (), (0, 0), (0,)]]
+    for _ in range(200):
+        support = [
+            tuple(rng.randrange(rng.choice((2, 3, 12))) for _ in range(rng.randint(0, 5)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        support += rng.sample(support, rng.randint(0, len(support)))  # duplicates
+        rng.shuffle(support)
+        supports.append([list(n) if rng.random() < 0.3 else n for n in support])
+    for support in supports:
+        closure = Closure(support)
+        expected = _closure_by_definition(support)
+        views = (closure.support, closure.sorted_nodes, closure.children, closure.by_level, closure.max_level)
+        assert views == expected, support
+        assert closure.nodes == frozenset(expected[1])
+        for i, node in enumerate(closure.sorted_nodes):
+            assert closure.level[i] == len(node)
+            assert closure.parent[i] == (closure.sorted_nodes.index(node[:-1]) if node else -1)
+            subtree = tuple(n for n in expected[1] if is_prefix(node, n))
+            assert closure.sorted_nodes[i : closure.end[i]] == subtree, (support, node)
+            assert closure.descendants_or_self(node) == subtree, (support, node)
