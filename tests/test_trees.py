@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -183,6 +185,22 @@ def test_enumeration_matches_brute_force_subsets():
             assert enumerate_admissible_families(x.support, space) == _brute_force_families(
                 x.support, space
             ), (space.kind, x.entries)
+
+
+def test_enumeration_is_pinned():
+    # the canonical family stream of seeded supports in every space, with and
+    # without a level cap, hashed one family per line
+    rng = random.Random(29)
+    digest = hashlib.sha256()
+    for space in ALL_SPACES:
+        for _ in range(60):
+            x = random_vector(rng, space, max_level=4, max_nodes=6, branching=3)
+            q_cap = rng.choice((None, 2, 3))
+            for family in enumerate_admissible_families(x.support, space, q_cap=q_cap):
+                record = json.dumps([[seg.top, seg.bottom] for seg in family.segments], separators=(",", ":"))
+                digest.update(record.encode() + b"\n")
+            digest.update(b"--\n")
+    assert digest.hexdigest() == "f62958d411d60d697fd1e249b5935550ca236bfdd797b3829bea0e1f75610b42"
 
 
 def test_segments_disjoint_matches_node_sets():
