@@ -3,12 +3,14 @@
 Everything here is deliberately naive: a visit of every family in the
 canonical stream for norms, one exact LP over the complete constraint set (L1
 spaces) or a grid scan (JT_INF) for dual norms.  The norm oracle walks the
-same candidate groups and disjoint-subset DFS as
-`trees.enumerate_admissible_families`, but scores each family as it is
-emitted instead of materializing and sorting the stream, so its memory is
-linear in the candidates; the grid scan scores its points with it too, so
-nothing here uses `norms` or `dualnorm`.  Nothing in the package imports
-this module outside of tests and the verification suite.
+same candidate groups as `trees.enumerate_admissible_families`, through the
+same disjoint-subset walk (`trees._disjoint_subsets`), but scores each family
+inside the walk instead of materializing and sorting the stream, so its
+memory is linear in the candidates; it prunes nothing.  It keeps its own
+scoring route, one exact `segment_sum` per candidate, and never the engine's
+chain-sum primitive `trees.scaled_prefix_sums`.  The grid scan scores its
+points with it too, so nothing here uses `norms` or `dualnorm`.  Nothing in
+the package imports this module outside of tests and the verification suite.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def _integer_scores(x: SparseVector, space: SpaceSpec) -> tuple[Callable[[Segmen
     scale = lcm(*(v.denominator for _, v in x.entries))
 
     def score(seg: Segment) -> int:
-        scaled = (segment_sum(x, seg) * scale).numerator
+        total = segment_sum(x, seg)
+        scaled = total.numerator * (scale // total.denominator)
         return abs(scaled) if space.aggregates_l1 else scaled * scaled
 
     return score, scale if space.aggregates_l1 else scale * scale
@@ -53,18 +56,20 @@ def _integer_scores(x: SparseVector, space: SpaceSpec) -> tuple[Callable[[Segmen
 def naive_norm(
     x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG
 ) -> tuple[Fraction, AdmissibleFamily]:
-    """Exhaustive max over the canonical family stream, scored as it is emitted.
+    """Exhaustive max over the canonical family stream, scored inside the walk.
 
     Returns (value, witness) for L1 spaces and (value squared, witness) for
     JT_INF, with the witness the first attaining family in the canonical
     order of `enumerate_admissible_families`.  Every family of every
-    candidate group is visited, but none is materialized: each candidate is
-    scored once (`_integer_scores`), a family's total is the sum of its
-    candidates' scores, and among the families with the largest total the
-    one with the least (segment count, node count, segment keys) is kept.
-    Emitted index tuples are increasing and the candidates sorted, so the
-    segment keys are already in canonical order; memory is linear in the
-    candidates, not in the families.
+    candidate group is visited, through `trees._disjoint_subsets`, but none
+    is materialized: each candidate is scored once (`_integer_scores`), a
+    family's total is the integer sum of its candidates' scores, and among
+    the families with the largest total the one with the least (segment
+    count, node count, segment keys) is kept.  Totals and (count, nodes)
+    ranks are compared first; a segment tuple is built only for a family
+    that ties or beats the best.  The walk's index lists are increasing and
+    the candidates sorted, so the segment keys are already in canonical
+    order; memory is linear in the candidates, not in the families.
     """
     x.validate_for(space)
     score, denominator = _integer_scores(x, space)
@@ -75,14 +80,17 @@ def naive_norm(
         scores = [score(seg) for seg in cands]
         sizes = [seg.q - seg.p + 1 for seg in cands]
 
-        def emit(chosen: tuple[int, ...]) -> None:
+        def emit(chosen: list[int]) -> None:
             nonlocal best, best_rank, best_segs
             total = 0
             for i in chosen:
                 total += scores[i]
             if total < best or total == 0:
                 return
-            rank = (len(chosen), sum(sizes[i] for i in chosen))
+            nodes = 0
+            for i in chosen:
+                nodes += sizes[i]
+            rank = (len(chosen), nodes)
             if total == best and rank > best_rank:
                 return
             segs = tuple(cands[i] for i in chosen)
@@ -183,9 +191,11 @@ def truncated_universe_norm(
     for cands in groups:
         scores = [score(s) for s in cands]
 
-        def emit(chosen: tuple[int, ...]) -> None:
+        def emit(chosen: list[int]) -> None:
             nonlocal best
-            total = sum(scores[i] for i in chosen)
+            total = 0
+            for i in chosen:
+                total += scores[i]
             if total > best:
                 best = total
 

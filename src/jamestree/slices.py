@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .dualnorm import dual_norm
@@ -107,14 +108,17 @@ def _molecule_members(
         k = len(family.segments)
         if (2 * grid_den + 1) ** k > config.family_cap:
             raise EnumerationCapError("molecule grid too large for the configured cap")
-        steps = range(-grid_den, grid_den + 1)
-        for combo in product(steps, repeat=k):
-            coeffs = tuple(Fraction(c, grid_den) for c in combo)
-            if sum((c * c for c in coeffs), Fraction(0)) > 1:
+        # in integers: coefficient c / grid_den, proportion a / scale
+        ratios = [s.as_integer_ratio() for s in fit.proportions]
+        scale = lcm(*(den for _, den in ratios))
+        scaled = [num * (scale // den) for num, den in ratios]
+        unit = grid_den * grid_den
+        for combo in product(range(-grid_den, grid_den + 1), repeat=k):
+            if sum(c * c for c in combo) > unit:
                 continue
-            val = sum((c * s for c, s in zip(coeffs, fit.proportions)), Fraction(0))
+            val = Fraction(sum(c * a for c, a in zip(combo, scaled)), grid_den * scale)
             if norm_res.exceeds_threshold(val, spec.alpha):
-                add((c, seg) for c, seg in zip(coeffs, family.segments) if c != 0)
+                add((Fraction(c, grid_den), seg) for c, seg in zip(combo, family.segments) if c)
     return members
 
 

@@ -88,11 +88,13 @@ class SparseVector:
     """Finitely supported rational-valued function on the tree.
 
     Entries are kept sorted by node and never hold the value zero, so equality
-    and hashing are structural.
+    and hashing are structural; `support`, their nodes, is built once with
+    them.
     """
 
     entries: tuple[tuple[Node, Fraction], ...]
     _lookup: Mapping[Node, Fraction] = field(init=False, repr=False, compare=False, hash=False)
+    support: tuple[Node, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         seen = {}
@@ -105,6 +107,7 @@ class SparseVector:
         cleaned = tuple(sorted((n, v) for n, v in seen.items() if v != 0))
         object.__setattr__(self, "entries", cleaned)
         object.__setattr__(self, "_lookup", dict(cleaned))
+        object.__setattr__(self, "support", tuple(n for n, _ in cleaned))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Node, Fraction]]) -> "SparseVector":
@@ -115,10 +118,6 @@ class SparseVector:
 
     def value_at(self, node: Node) -> Fraction:
         return self._lookup.get(node, Fraction(0))
-
-    @property
-    def support(self) -> tuple[Node, ...]:
-        return tuple(n for n, _ in self.entries)
 
     @property
     def is_zero(self) -> bool:

@@ -146,7 +146,8 @@ class Closure:
     prefixes longer than its common prefix with the previous one, in lex
     order.  Node i of `sorted_nodes` has level `level[i]`, parent `parent[i]`
     (-1 for the root) and subtree `sorted_nodes[i:end[i]]`; the node-keyed
-    `children` and `by_level` are built on first use.
+    `children` and `by_level`, and the flags `in_support`, are built on
+    first use.
     """
 
     def __init__(self, support: Iterable[Node]):
@@ -183,6 +184,11 @@ class Closure:
         return dict(zip(self.sorted_nodes, map(tuple, kids)))
 
     @cached_property
+    def in_support(self) -> list[bool]:
+        """Whether node i of `sorted_nodes` is a support node."""
+        return [node in self.support for node in self.sorted_nodes]
+
+    @cached_property
     def by_level(self) -> dict[int, tuple[Node, ...]]:
         return {d: tuple(n for n in self.sorted_nodes if len(n) == d) for d in range(self.max_level + 1)}
 
@@ -209,9 +215,6 @@ class Closure:
             raise InvalidSegmentError(f"no fresh dyadic child under {node!r}")
         return node + (fresh_index,)
 
-    def chain_meets_support(self, top: Node, bottom: Node) -> bool:
-        return any(bottom[:k] in self.support for k in range(len(top), len(bottom) + 1))
-
 
 def scaled_prefix_sums(x: SparseVector, closure: Closure) -> tuple[list[int], int]:
     """Root-to-node sums of x over the closure, in integers, and their scale.
@@ -221,8 +224,9 @@ def scaled_prefix_sums(x: SparseVector, closure: Closure) -> tuple[list[int], in
     `closure.sorted_nodes`, and `sums[-1] == 0` the sum above the root.  The
     chain sum of top t down to b is `(sums[b] - sums[closure.parent[t]]) / scale`.
     """
-    scale = lcm(*(v.denominator for _, v in x.entries))
-    scaled = {n: v.numerator * (scale // v.denominator) for n, v in x.entries}
+    ratios = [(n, v.as_integer_ratio()) for n, v in x.entries]
+    scale = lcm(*(den for _, (_, den) in ratios))
+    scaled = {n: num * (scale // den) for n, (num, den) in ratios}
     sums = [0] * (len(closure.sorted_nodes) + 1)
     for i, (node, up) in enumerate(zip(closure.sorted_nodes, closure.parent)):
         sums[i] = sums[up] + scaled.get(node, 0)  # lex order puts every parent first
@@ -248,45 +252,60 @@ def _guard(count: int, cap: int, what: str) -> None:
 def _disjoint_subsets(
     candidates: Sequence[Segment],
     family_cap: int,
-    emit: Callable[[tuple[int, ...]], None],
+    emit: Callable[[list[int]], None],
 ) -> None:
     """Emit every nonempty pairwise-disjoint subset, in DFS order over the
-    candidate list, as the increasing tuple of its candidate indices.
+    candidate list, as the increasing list of its candidate indices.
 
-    Disjointness is tested once per candidate pair: bit k of `clash[j]` is set
-    when candidate k > j meets candidate j.  The DFS carries the union of the
-    chosen candidates' masks, so extending a subset is one bit test.
+    This is the one walk over disjoint subsets: the canonical enumeration
+    and the norm oracle both visit their families through it.  The list
+    handed to `emit` is the walk's own and changes once `emit` returns, so a
+    caller that keeps a family copies it.  Disjointness is tested once per
+    candidate pair: bit k of `fits[j]` is set when candidate k > j misses
+    candidate j.  The DFS carries the mask of the later candidates that miss
+    every chosen one, so it steps only through those.
     """
     n = len(candidates)
-    clash = [0] * n
+    fits = [0] * n
     for j in range(n):
         for k in range(j + 1, n):
-            if not segments_disjoint(candidates[j], candidates[k]):
-                clash[j] |= 1 << k
+            if segments_disjoint(candidates[j], candidates[k]):
+                fits[j] |= 1 << k
     count = 0
     chosen: list[int] = []
 
-    def rec(start: int, blocked: int) -> None:
+    def rec(free: int) -> None:
         nonlocal count
-        for j in range(start, n):
-            if blocked >> j & 1:
-                continue
+        while free:
+            low = free & -free
+            free ^= low
+            j = low.bit_length() - 1
             chosen.append(j)
             count += 1
-            _guard(count, family_cap, "family enumeration")
-            emit(tuple(chosen))
-            rec(j + 1, blocked | clash[j])
+            if count > family_cap:
+                raise EnumerationCapError(f"family enumeration exceeded cap {family_cap}")
+            emit(chosen)
+            if free & fits[j]:
+                rec(free & fits[j])
             chosen.pop()
 
-    rec(0, 0)
+    rec((1 << n) - 1)
 
 
 def _jt_core_candidates(closure: Closure, config: RunConfig) -> list[Segment]:
+    """Every closure chain that meets the support.
+
+    Each top's index range is walked once; whether the chain from the top
+    meets the support passes from parent to child, lex order putting every
+    parent first."""
+    nodes, parent, end, in_support = closure.sorted_nodes, closure.parent, closure.end, closure.in_support
+    meets = [False] * len(nodes)
     cands = []
-    for top in closure.sorted_nodes:
-        for bottom in closure.descendants_or_self(top):
-            if closure.chain_meets_support(top, bottom):
-                cands.append(Segment(top, bottom))
+    for t, top in enumerate(nodes):
+        for i in range(t, end[t]):
+            meets[i] = in_support[i] or i != t and meets[parent[i]]
+            if meets[i]:
+                cands.append(Segment(top, nodes[i]))
                 _guard(len(cands), config.candidate_cap, "candidate segments")
     return cands  # lex tops, each with its lex bottoms: in Segment.sort_key order
 
@@ -294,18 +313,35 @@ def _jt_core_candidates(closure: Closure, config: RunConfig) -> list[Segment]:
 def aligned_candidates(
     closure: Closure, p: int, q: int, space: SpaceSpec, fresh_index: int, config: RunConfig
 ) -> list[Segment]:
-    """Materialized p-q candidates whose cores meet the support."""
+    """Materialized p-q candidates whose cores meet the support.
+
+    The cores of a level-p top are the nodes of its index range up to level
+    q, walked once as in `_jt_core_candidates`."""
+    nodes, level, parent, end, in_support = (
+        closure.sorted_nodes,
+        closure.level,
+        closure.parent,
+        closure.end,
+        closure.in_support,
+    )
+    n = len(nodes)
+    meets = [False] * n
     cands = []
-    for top in closure.by_level.get(p, ()):
-        for core_bottom in closure.descendants_or_self(top):
-            if len(core_bottom) > q:
+    t = 0
+    while t < n:
+        if level[t] != p:  # a node deeper than p lies in the range of a level-p top
+            t += 1
+            continue
+        top = nodes[t]
+        for i in range(t, end[t]):
+            if level[i] > q:
                 continue
-            if len(core_bottom) < q and not closure.extendable(core_bottom, space):
+            meets[i] = in_support[i] or i != t and meets[parent[i]]
+            if not meets[i] or level[i] < q and not closure.extendable(nodes[i], space):
                 continue
-            if not closure.chain_meets_support(top, core_bottom):
-                continue
-            cands.append(materialize_core(closure, top, core_bottom, q, space, fresh_index))
+            cands.append(materialize_core(closure, top, nodes[i], q, space, fresh_index))
             _guard(len(cands), config.candidate_cap, "candidate segments")
+        t = end[t]
     cands.sort(key=Segment.sort_key)
     return cands
 

@@ -243,21 +243,22 @@ def check_53_bound(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
     pairs = 0
     nonaligned_values: set[Fraction] = set()
     for p in range(1, 5):
-        tops = [tuple(t) for t in product(range(3), repeat=p)]
+        tops = list(product(range(3), repeat=p))
+        # per bottom level, each top's segments, in extension order
+        segs = {
+            q: {top: [Segment(top, top + e) for e in product(range(3), repeat=q - p)] for top in tops}
+            for q in range(p, 5)
+        }
         for q in range(p, 5):
-            exts_q = [tuple(e) for e in product(range(3), repeat=q - p)]
             for r in range(q, 5):
-                exts_r = [tuple(e) for e in product(range(3), repeat=r - p)]
                 for top_r in tops:
                     for top_s in tops:
                         if top_r == top_s:
                             continue
                         if q == r and top_r > top_s:
                             continue
-                        for eq in exts_q:
-                            seg_r = Segment(top_r, top_r + eq)
-                            for er in exts_r:
-                                seg_s = Segment(top_s, top_s + er)
+                        for seg_r in segs[q][top_r]:
+                            for seg_s in segs[r][top_s]:
                                 if not segments_disjoint(seg_r, seg_s):
                                     problems.append("generated pair not disjoint")
                                     continue

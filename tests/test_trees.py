@@ -25,6 +25,7 @@ from jamestree.trees import (
     family_disjoint,
     is_admissible,
     is_prefix,
+    materialize_core,
     max_index_used,
     segments_disjoint,
 )
@@ -185,6 +186,38 @@ def test_enumeration_matches_brute_force_subsets():
             assert enumerate_admissible_families(x.support, space) == _brute_force_families(
                 x.support, space
             ), (space.kind, x.entries)
+
+
+def test_candidate_lists_match_their_definition():
+    # each group against one built from node sets: every closure chain whose
+    # nodes meet the support; aligned cores end at level q or, extendable,
+    # above it, and are materialized; then sorted
+    rng = random.Random(31)
+    for space in ALL_SPACES:
+        for _ in range(40):
+            x = random_vector(rng, space, max_level=4, max_nodes=7, branching=rng.choice((2, 3, 12)))
+            closure = Closure(x.support)
+            support = set(x.support)
+            chains = [
+                Segment(top, bottom)
+                for top in closure.nodes
+                for bottom in closure.nodes
+                if is_prefix(top, bottom) and set(Segment(top, bottom).nodes()) & support
+            ]
+            if not space.level_aligned:
+                assert _jt_core_candidates(closure, DEFAULT_CONFIG) == sorted(chains, key=Segment.sort_key)
+                continue
+            fresh = max_index_used(x.support) + 1
+            for q in range(space.min_top_level, closure.max_level + 2):
+                for p in range(space.min_top_level, q + 1):
+                    expected = [
+                        materialize_core(closure, seg.top, seg.bottom, q, space, fresh)
+                        for seg in chains
+                        if seg.p == p
+                        and (seg.q == q or seg.q < q and closure.extendable(seg.bottom, space))
+                    ]
+                    got = aligned_candidates(closure, p, q, space, fresh, DEFAULT_CONFIG)
+                    assert got == sorted(expected, key=Segment.sort_key), (space.kind, x.entries, p, q)
 
 
 def test_enumeration_is_pinned():
