@@ -41,8 +41,7 @@ def _anchor_and_level(space: SpaceSpec, paths, min_count: int) -> tuple[Node, in
         anchor = (0,) * anchor_level
         width = max(1, (min_count - 1).bit_length())
         return anchor, anchor_level + width
-    fresh = max_index_used(paths) + 1
-    anchor = ((fresh,) + (0,) * (anchor_level - 1)) if anchor_level >= 1 else ROOT
+    anchor = avoiding_branch(paths, anchor_level)[-1] if anchor_level else ROOT
     return anchor, anchor_level + 1
 
 

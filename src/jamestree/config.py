@@ -27,8 +27,8 @@ class RunConfig:
             raise ValueError("caps must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.grid_resolution <= 0 or self.grid_resolution > 1:
-            raise ValueError("grid_resolution must lie in (0, 1]")
+        if self.grid_resolution.numerator != 1:  # also puts it in (0, 1]
+            raise ValueError("grid_resolution must be 1/k for an integer k >= 1")
         if self.iteration_cap <= 0:
             raise ValueError("iteration_cap must be positive")
         if self.workers < 1:

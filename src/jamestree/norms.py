@@ -47,7 +47,6 @@ from .trees import (
     Segment,
     literal_chain_subsets,
     materialize_core,
-    max_index_used,
     scaled_prefix_sums,
     segment_sum,
 )
@@ -187,8 +186,8 @@ def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormR
     """
     closure = Closure(x.support)
     sums, scale = scaled_prefix_sums(x, closure)
-    nodes, p_min, depth = closure.sorted_nodes, space.min_top_level, closure.max_level
-    open_ = [closure.extendable(n, space) for n in nodes] if space.dyadic else None
+    p_min, depth = space.min_top_level, closure.max_level
+    open_ = [closure.extendable(i, space) for i in range(len(closure.level))] if space.dyadic else None
     tops: list[list[int]] = [[] for _ in range(depth + 1)]
     for i, lev in enumerate(closure.level):
         tops[lev].append(i)
@@ -210,7 +209,6 @@ def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormR
 
     if best_total == 0:
         return NormResult(space, Fraction(0), None, AdmissibleFamily((), space))
-    fresh = max_index_used(x.support) + 1
 
     def family(p: int, q: int) -> AdmissibleFamily:
         parts = []
@@ -219,7 +217,7 @@ def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormR
             if best:
                 parts.append(
                     min(
-                        (materialize_core(closure, nodes[u], nodes[v], q, space, fresh) for v in ties),
+                        (materialize_core(closure, u, v, q, space) for v in ties),
                         key=Segment.sort_key,
                     )
                 )

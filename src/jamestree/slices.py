@@ -86,9 +86,7 @@ def _molecule_members(
 ) -> list[DualFunctional]:
     members: list[DualFunctional] = []
     seen = set()
-    grid_den = config.grid_resolution.denominator
-    if config.grid_resolution.numerator != 1:
-        raise PreconditionError("grid resolution must be 1/k")
+    grid_den = config.grid_resolution.denominator  # the resolution is 1/grid_den
     families = enumerate_admissible_families(spec.x.support, spec.space, config, q_cap=spec.level_cap)
 
     def add(terms) -> None:

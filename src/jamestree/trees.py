@@ -19,12 +19,14 @@ infinite tree to a finite one:
   outside the closure (always, for infinite branching).
 
 Enumerated families materialize those extensions, so every emitted family is
-literally admissible and evaluates to its core sums.
+literally admissible and evaluates to its core sums.  The closure addresses
+its nodes by lex index, and so do the enumeration and the aligned norm
+engine: `Closure.extendable` says whether core bottom i has a fresh child,
+and `materialize_core` pads the core from top t to bottom b into a segment.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -145,9 +147,10 @@ class Closure:
     One pass over the sorted support builds it: each support node adds its
     prefixes longer than its common prefix with the previous one, in lex
     order.  Node i of `sorted_nodes` has level `level[i]`, parent `parent[i]`
-    (-1 for the root) and subtree `sorted_nodes[i:end[i]]`; the node-keyed
-    `children` and `by_level`, and the flags `in_support`, are built on
-    first use.
+    (-1 for the root) and subtree `sorted_nodes[i:end[i]]`; the engines and
+    the enumeration address nodes by this lex index.  The node set `nodes`,
+    the node-keyed `children`, the flags `in_support` and the first child
+    index `fresh` that no support path uses are built on first use.
     """
 
     def __init__(self, support: Iterable[Node]):
@@ -172,9 +175,12 @@ class Closure:
                 end.append(0)
             prev = leaf
         self.sorted_nodes: tuple[Node, ...] = tuple(nodes)
-        self.nodes: frozenset[Node] = frozenset(nodes)
         self.level, self.parent, self.max_level = level, parent, max(level, default=-1)
         self.end: list[int] = [e or len(nodes) for e in end]  # subtrees still open at the last leaf
+
+    @cached_property
+    def nodes(self) -> frozenset[Node]:
+        return frozenset(self.sorted_nodes)
 
     @cached_property
     def children(self) -> dict[Node, tuple[Node, ...]]:
@@ -189,31 +195,22 @@ class Closure:
         return [node in self.support for node in self.sorted_nodes]
 
     @cached_property
-    def by_level(self) -> dict[int, tuple[Node, ...]]:
-        return {d: tuple(n for n in self.sorted_nodes if len(n) == d) for d in range(self.max_level + 1)}
+    def fresh(self) -> int:
+        """A child index that no support path uses: a fresh child under any
+        node of an infinitely branching tree."""
+        return max_index_used(self.support) + 1
 
-    def descendants_or_self(self, node: Node) -> tuple[Node, ...]:
-        """The closure nodes under closure node `node`, itself included, in lex order."""
-        i = bisect_left(self.sorted_nodes, node)
-        return self.sorted_nodes[i : self.end[i]]
+    def extendable(self, i: int, space: SpaceSpec) -> bool:
+        """Can a chain stop at node i and continue through zero-valued fresh nodes?
 
-    def extendable(self, node: Node, space: SpaceSpec) -> bool:
-        """Can a chain stop here and continue through zero-valued fresh nodes?
-
-        Dyadic trees have two children, so a fresh child exists iff fewer than
-        two children are in the closure; infinite branching always has one.
+        Dyadic trees have two children, so a fresh child exists iff node i
+        has none in the closure or its first child's subtree ends where its
+        own does; infinite branching always has one.
         """
         if space.dyadic:
-            return len(self.children[node]) < 2
+            end = self.end
+            return i + 1 == end[i] or end[i + 1] == end[i]
         return True
-
-    def fresh_child_step(self, node: Node, space: SpaceSpec, fresh_index: int) -> Node:
-        if space.dyadic:
-            for idx in (0, 1):
-                if node + (idx,) not in self.nodes:
-                    return node + (idx,)
-            raise InvalidSegmentError(f"no fresh dyadic child under {node!r}")
-        return node + (fresh_index,)
 
 
 def scaled_prefix_sums(x: SparseVector, closure: Closure) -> tuple[list[int], int]:
@@ -233,15 +230,25 @@ def scaled_prefix_sums(x: SparseVector, closure: Closure) -> tuple[list[int], in
     return sums, scale
 
 
-def materialize_core(
-    closure: Closure, top: Node, core_bottom: Node, q: int, space: SpaceSpec, fresh_index: int
-) -> Segment:
-    """Turn a closure core into a p-q segment, padding with zero-valued nodes."""
-    if len(core_bottom) == q:
-        return Segment(top, core_bottom)
-    step = closure.fresh_child_step(core_bottom, space, fresh_index)
-    bottom = step + (0,) * (q - len(step))
-    return Segment(top, bottom)
+def materialize_core(closure: Closure, top: int, b: int, q: int, space: SpaceSpec) -> Segment:
+    """Turn the closure core from node `top` down to node `b` (lex indices)
+    into a segment ending at level q, padding with zero-valued nodes.
+
+    A core ending above q steps into a child of `b` outside the closure and
+    goes on through first children.  In a dyadic tree that child is the one
+    the closure lacks; elsewhere it takes the index `closure.fresh`.
+    """
+    nodes = closure.sorted_nodes
+    bottom = nodes[b]
+    if len(bottom) < q:
+        if not space.dyadic:
+            step = closure.fresh
+        elif not closure.extendable(b, space):
+            raise InvalidSegmentError(f"no fresh dyadic child under {bottom!r}")
+        else:
+            step = 0 if b + 1 == closure.end[b] else 1 - nodes[b + 1][-1]
+        bottom = bottom + (step,) + (0,) * (q - len(bottom) - 1)
+    return Segment(nodes[top], bottom)
 
 
 def _guard(count: int, cap: int, what: str) -> None:
@@ -310,21 +317,13 @@ def _jt_core_candidates(closure: Closure, config: RunConfig) -> list[Segment]:
     return cands  # lex tops, each with its lex bottoms: in Segment.sort_key order
 
 
-def aligned_candidates(
-    closure: Closure, p: int, q: int, space: SpaceSpec, fresh_index: int, config: RunConfig
-) -> list[Segment]:
+def aligned_candidates(closure: Closure, p: int, q: int, space: SpaceSpec, config: RunConfig) -> list[Segment]:
     """Materialized p-q candidates whose cores meet the support.
 
     The cores of a level-p top are the nodes of its index range up to level
     q, walked once as in `_jt_core_candidates`."""
-    nodes, level, parent, end, in_support = (
-        closure.sorted_nodes,
-        closure.level,
-        closure.parent,
-        closure.end,
-        closure.in_support,
-    )
-    n = len(nodes)
+    level, parent, end, in_support = closure.level, closure.parent, closure.end, closure.in_support
+    n = len(level)
     meets = [False] * n
     cands = []
     t = 0
@@ -332,14 +331,13 @@ def aligned_candidates(
         if level[t] != p:  # a node deeper than p lies in the range of a level-p top
             t += 1
             continue
-        top = nodes[t]
         for i in range(t, end[t]):
             if level[i] > q:
                 continue
             meets[i] = in_support[i] or i != t and meets[parent[i]]
-            if not meets[i] or level[i] < q and not closure.extendable(nodes[i], space):
+            if not meets[i] or level[i] < q and not closure.extendable(i, space):
                 continue
-            cands.append(materialize_core(closure, top, nodes[i], q, space, fresh_index))
+            cands.append(materialize_core(closure, t, i, q, space))
             _guard(len(cands), config.candidate_cap, "candidate segments")
         t = end[t]
     cands.sort(key=Segment.sort_key)
@@ -362,14 +360,11 @@ def _canonical_candidate_groups(
     closure = Closure(support)
     if not closure.support:
         return
-    top_level = max(len(n) for n in closure.support)
-    if q_cap is not None:
-        top_level = min(top_level, q_cap)
+    top_level = closure.max_level if q_cap is None else min(closure.max_level, q_cap)
     if space.level_aligned:
-        fresh = max_index_used(closure.support) + 1
         for q in range(space.min_top_level, top_level + 1):
             for p in range(space.min_top_level, q + 1):
-                yield aligned_candidates(closure, p, q, space, fresh, config)
+                yield aligned_candidates(closure, p, q, space, config)
     else:
         yield _jt_core_candidates(closure, config)
 

@@ -228,9 +228,15 @@ def _canonical_pair_key(r_seg: Segment, s_seg: Segment):
     first children (0); with no difference it is all zeros.  A top is a
     prefix of its bottom, so it relabels to a prefix of it."""
     r_bottom, s_bottom = r_seg.bottom, s_seg.bottom
-    d = next((i for i, (u, v) in enumerate(zip(r_bottom, s_bottom)) if u != v), None)
+    d = 0
+    for u, v in zip(r_bottom, s_bottom):
+        if u != v:
+            s_key = (0,) * d + (1,) + (0,) * (len(s_bottom) - d - 1)
+            break
+        d += 1
+    else:
+        s_key = (0,) * len(s_bottom)
     r_key = (0,) * len(r_bottom)
-    s_key = (0,) * len(s_bottom) if d is None else (0,) * d + (1,) + (0,) * (len(s_bottom) - d - 1)
     return (r_key[: len(r_seg.top)], r_key, s_key[: len(s_seg.top)], s_key)
 
 

@@ -358,6 +358,16 @@ def test_config_file_overrides(tmp_path, capsys):
     code, out = run_cli(capsys, "norm", path, "--config", booleans)
     assert code == 2
     assert json.loads(out)["error"] == "schema"
+    # the molecule grid resolution must be 1/k, whichever command reads it
+    jt = write(tmp_path, "jt.json", {"space": "JT_INF", "entries": [{"node": [1], "value": "1"}]})
+    for grid in ("2/3", "0", "2"):
+        coarse = write(tmp_path, "grid.json", {"grid_resolution": grid})
+        for argv in (("norm", path), ("slice", path, "--alpha", "1/10"), ("slice", jt, "--alpha", "1/10")):
+            code, out = run_cli(capsys, *argv, "--config", coarse)
+            assert code == 2 and json.loads(out)["error"] == "schema", (grid, argv)
+    fine = write(tmp_path, "fine.json", {"grid_resolution": "1/2"})
+    code, out = run_cli(capsys, "slice", jt, "--alpha", "1/10", "--config", fine)
+    assert code == 0
 
 
 def test_candidate_cap_from_config_exits_2(tmp_path, capsys):

@@ -2,9 +2,12 @@
 independent routes: their agreement is what the oracle tests prove, so
 neither may import the other, not even inside a function body.  The oracle
 also keeps its own scoring route: it may not use the engine's chain-sum
-primitive, `trees.scaled_prefix_sums`."""
+primitive, `trees.scaled_prefix_sums`.  And the package is stdlib-only:
+every module it imports is `jamestree` itself or part of the standard
+library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import jamestree
@@ -15,23 +18,34 @@ ENGINE_PRIMITIVES = {"scaled_prefix_sums"}
 SOURCES = Path(jamestree.__file__).parent
 
 
-def _imported_modules(path: Path) -> set[str]:
-    """The `jamestree` submodules a source file imports, at any depth."""
+def _imports(path: Path) -> set[str]:
+    """Every module a source file imports, at any depth, by its absolute
+    dotted name; a relative import names a `jamestree` submodule."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0:  # absolute: only `jamestree` and its submodules count
-                if module.split(".")[0] != "jamestree":
-                    continue
-                module = module[len("jamestree.") :]
-            names = [module] if module else [alias.name for alias in node.names]
+            module = node.module
+            if node.level:  # relative: inside the package
+                module = f"jamestree.{module}" if module else "jamestree"
+            if module == "jamestree":  # `from . import lp`: the names are submodules
+                found.update(f"jamestree.{alias.name}" for alias in node.names)
+            else:
+                found.add(module)
         elif isinstance(node, ast.Import):
-            names = [a.name[len("jamestree.") :] for a in node.names if a.name.startswith("jamestree.")]
-        else:
-            continue
-        found.update(name.split(".")[0] for name in names)
+            found.update(alias.name for alias in node.names)
     return found
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The `jamestree` submodules a source file imports, at any depth."""
+    return {name.split(".")[1] for name in _imports(path) if name.startswith("jamestree.")}
+
+
+def _outside_stdlib(path: Path) -> set[str]:
+    """The top-level modules a source file imports that are neither
+    `jamestree` nor in the standard library."""
+    tops = {name.split(".")[0] for name in _imports(path)}
+    return tops - sys.stdlib_module_names - {"jamestree"}
 
 
 def test_the_import_parser_sees_relative_and_lazy_imports(tmp_path):
@@ -41,6 +55,21 @@ def test_the_import_parser_sees_relative_and_lazy_imports(tmp_path):
         "def f():\n    from .norms import norm\n    from jamestree.reference import naive_norm\n"
     )
     assert _imported_modules(source) == {"trees", "lp", "cli", "norms", "reference"}
+
+
+def test_the_stdlib_check_sees_third_party_imports(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from __future__ import annotations\nimport os.path, json\nfrom . import lp\n"
+        "from collections.abc import Sequence\nimport jamestree.cli\n"
+        "def f():\n    import numpy as np\n    from hypothesis.strategies import integers\n"
+    )
+    assert _outside_stdlib(source) == {"numpy", "hypothesis"}
+
+
+def test_the_package_imports_only_the_standard_library():
+    for path in sorted(SOURCES.glob("*.py")):
+        assert not _outside_stdlib(path), (path.name, _outside_stdlib(path))
 
 
 def test_engine_and_oracle_do_not_import_each_other():

@@ -161,10 +161,10 @@ def _window_totals(x, space):
     closure = Closure(x.support)
     sums, _ = scaled_prefix_sums(x, closure)
     bounds = norms._level_bounds(closure, sums, space.min_top_level)
-    open_ = [closure.extendable(node, space) for node in closure.sorted_nodes]
+    open_ = [closure.extendable(i, space) for i in range(len(closure.level))]
     totals = {}
     for p in bounds:
-        for u in map(closure.sorted_nodes.index, closure.by_level[p]):
+        for u in (i for i, level in enumerate(closure.level) if level == p):
             for d, (best, _) in enumerate(norms._top_optima(closure, sums, open_, u)):
                 totals[p, p + d] = totals.get((p, p + d), 0) + best
     return closure, bounds, totals
@@ -589,5 +589,5 @@ def test_aligned_engine_matches_oracle_on_ties():
             top_ties += len(set(tops)) < len(tops)
             window_ties += len(set(windows)) > 1
             closure = Closure(x.support)
-            blocked += any(not closure.extendable(v, space) for v in closure.nodes)
+            blocked += any(not closure.extendable(i, space) for i in range(len(closure.level)))
     assert top_ties > 0 and window_ties > 0 and blocked > 0, (top_ties, window_ties, blocked)

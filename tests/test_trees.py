@@ -26,7 +26,6 @@ from jamestree.trees import (
     is_admissible,
     is_prefix,
     materialize_core,
-    max_index_used,
     segments_disjoint,
 )
 
@@ -158,12 +157,10 @@ def _brute_force_families(support, space):
     closure = Closure(support)
     if not closure.support:
         return []
-    top_level = max(len(n) for n in closure.support)
     if space.level_aligned:
-        fresh = max_index_used(closure.support) + 1
         groups = [
-            aligned_candidates(closure, p, q, space, fresh, DEFAULT_CONFIG)
-            for q in range(space.min_top_level, top_level + 1)
+            aligned_candidates(closure, p, q, space, DEFAULT_CONFIG)
+            for q in range(space.min_top_level, closure.max_level + 1)
             for p in range(space.min_top_level, q + 1)
         ]
     else:
@@ -190,34 +187,51 @@ def test_enumeration_matches_brute_force_subsets():
 
 def test_candidate_lists_match_their_definition():
     # each group against one built from node sets: every closure chain whose
-    # nodes meet the support; aligned cores end at level q or, extendable,
-    # above it, and are materialized; then sorted
+    # nodes meet the support; an aligned core ends at level q, or above it at
+    # a bottom with a child outside the closure (0 or 1 in JH, else the index
+    # past every one used), padded by that child and then zeros; sorted
     rng = random.Random(31)
     for space in ALL_SPACES:
         for _ in range(40):
             x = random_vector(rng, space, max_level=4, max_nodes=7, branching=rng.choice((2, 3, 12)))
             closure = Closure(x.support)
-            support = set(x.support)
+            nodes, support = closure.nodes, set(x.support)
             chains = [
                 Segment(top, bottom)
-                for top in closure.nodes
-                for bottom in closure.nodes
+                for top in nodes
+                for bottom in nodes
                 if is_prefix(top, bottom) and set(Segment(top, bottom).nodes()) & support
             ]
             if not space.level_aligned:
                 assert _jt_core_candidates(closure, DEFAULT_CONFIG) == sorted(chains, key=Segment.sort_key)
                 continue
-            fresh = max_index_used(x.support) + 1
+            fresh = max((i for node in nodes for i in node), default=-1) + 1
+            steps = (0, 1) if space.dyadic else (fresh,)
             for q in range(space.min_top_level, closure.max_level + 2):
                 for p in range(space.min_top_level, q + 1):
-                    expected = [
-                        materialize_core(closure, seg.top, seg.bottom, q, space, fresh)
-                        for seg in chains
-                        if seg.p == p
-                        and (seg.q == q or seg.q < q and closure.extendable(seg.bottom, space))
-                    ]
-                    got = aligned_candidates(closure, p, q, space, fresh, DEFAULT_CONFIG)
+                    expected = []
+                    for seg in chains:
+                        if seg.p != p or seg.q > q:
+                            continue
+                        free = [i for i in steps if seg.bottom + (i,) not in nodes]
+                        if seg.q == q:
+                            expected.append(seg)
+                        elif free:
+                            expected.append(Segment(seg.top, seg.bottom + (free[0],) + (0,) * (q - seg.q - 1)))
+                    got = aligned_candidates(closure, p, q, space, DEFAULT_CONFIG)
                     assert got == sorted(expected, key=Segment.sort_key), (space.kind, x.entries, p, q)
+
+
+def test_materialize_core_pads_through_a_child_outside_the_closure():
+    # lex indices: () 0, (1,) 1, (1, 0) 2 -- the root lacks child 0 and (1,)
+    # lacks child 1 in JH; infinite branching steps past every index used
+    closure = Closure([(1, 0)])
+    assert materialize_core(closure, 0, 0, 2, JH) == Segment((), (0, 0))
+    assert materialize_core(closure, 0, 1, 3, JH) == Segment((), (1, 1, 0))
+    assert materialize_core(closure, 1, 2, 2, JH) == Segment((1,), (1, 0))
+    assert materialize_core(closure, 0, 1, 2, JH_INF) == Segment((), (1, 2))
+    with pytest.raises(InvalidSegmentError):
+        materialize_core(Closure([(0,), (1,)]), 0, 0, 1, JH)
 
 
 def test_enumeration_is_pinned():
@@ -249,30 +263,12 @@ def test_segments_disjoint_matches_node_sets():
         assert segments_disjoint(s1, s2) == expected
 
 
-def test_descendants_or_self_is_the_prefix_run():
-    # the lex-sorted run from a node to its successor key holds exactly its
-    # descendants; child indices past 9 and gaps between siblings included
-    rng = random.Random(97)
-    for _ in range(60):
-        support = {
-            tuple(rng.randrange(rng.choice((2, 3, 12))) for _ in range(rng.randint(0, 4)))
-            for _ in range(rng.randint(1, 10))
-        }
-        closure = Closure(support)
-        for node in closure.sorted_nodes:
-            expected = tuple(n for n in closure.sorted_nodes if is_prefix(node, n))
-            assert closure.descendants_or_self(node) == expected, (support, node)
-
-
 def _closure_by_definition(support):
     """The closure views from the set of all prefixes, sorted."""
     support = frozenset(tuple(n) for n in support)
     nodes = tuple(sorted(frozenset(n[:k] for n in support for k in range(len(n) + 1))))
     children = {n: tuple(c for c in nodes if c and c[:-1] == n) for n in nodes}
-    by_level = {}
-    for n in nodes:
-        by_level[len(n)] = by_level.get(len(n), ()) + (n,)
-    return support, nodes, children, by_level, max(by_level, default=-1)
+    return support, nodes, children, max(map(len, nodes), default=-1)
 
 
 def test_one_pass_closure_matches_the_prefix_set():
@@ -291,7 +287,7 @@ def test_one_pass_closure_matches_the_prefix_set():
     for support in supports:
         closure = Closure(support)
         expected = _closure_by_definition(support)
-        views = (closure.support, closure.sorted_nodes, closure.children, closure.by_level, closure.max_level)
+        views = (closure.support, closure.sorted_nodes, closure.children, closure.max_level)
         assert views == expected, support
         assert closure.nodes == frozenset(expected[1])
         for i, node in enumerate(closure.sorted_nodes):
@@ -299,4 +295,6 @@ def test_one_pass_closure_matches_the_prefix_set():
             assert closure.parent[i] == (closure.sorted_nodes.index(node[:-1]) if node else -1)
             subtree = tuple(n for n in expected[1] if is_prefix(node, n))
             assert closure.sorted_nodes[i : closure.end[i]] == subtree, (support, node)
-            assert closure.descendants_or_self(node) == subtree, (support, node)
+            # a dyadic node has a fresh child iff fewer than two children are present
+            assert closure.extendable(i, JH) == (len(expected[2][node]) < 2), (support, node)
+            assert closure.extendable(i, JT_INF)
