@@ -4,7 +4,9 @@ the level-1 l1-row check.
 
 Every certificate is verified exactly by the norm engine before it is
 returned; a construction that fails its own recheck raises instead of
-returning a bad certificate.
+returning a bad certificate.  The fresh nodes of an extension and of the
+SD2P y/z blocks all come from one fan (`_fan`): pairwise incomparable
+nodes at one level below every node already in use.
 """
 
 from __future__ import annotations
@@ -28,30 +30,22 @@ from .surds import exact_sqrt, sqrt_sum_sign
 from .trees import Segment, avoiding_branch, max_index_used
 
 
-def _bits(value: int, width: int) -> Node:
-    return tuple(value >> (width - 1 - i) & 1 for i in range(width))
+def _fan(space: SpaceSpec, paths, count: int) -> tuple[tuple[Node, ...], int]:
+    """`count` pairwise-incomparable nodes at one common level below every
+    given path, and that level.
 
-
-def _anchor_and_level(space: SpaceSpec, paths, min_count: int) -> tuple[Node, int]:
-    """Deterministic anchor strictly below every given path, plus the common
-    level that fits `min_count` pairwise-incomparable descendants."""
-    deepest = max((len(p) for p in paths), default=-1)
-    anchor_level = deepest + 1
+    In a dyadic tree they count in binary below (0,)*depth, on the fewest
+    digits (at least one) that reach `count`; elsewhere they are the first
+    children of the depth-level node of a branch avoiding the paths.
+    """
+    depth = 1 + max((len(p) for p in paths), default=-1)
     if space.dyadic:
-        anchor = (0,) * anchor_level
-        width = max(1, (min_count - 1).bit_length())
-        return anchor, anchor_level + width
-    anchor = avoiding_branch(paths, anchor_level)[-1] if anchor_level else ROOT
-    return anchor, anchor_level + 1
-
-
-def _descendants_at(space: SpaceSpec, anchor: Node, level: int, count: int) -> tuple[Node, ...]:
-    gap = level - len(anchor)
-    if space.dyadic:
-        if 2**gap < count:
-            raise CertificationError("dyadic level too shallow for the requested fan-out")
-        return tuple(anchor + _bits(i, gap) for i in range(count))
-    return tuple(anchor + (i,) + (0,) * (gap - 1) for i in range(count))
+        width = max(1, (count - 1).bit_length())
+        anchor = (0,) * depth
+        nodes = tuple(anchor + tuple(map(int, format(i, f"0{width}b"))) for i in range(count))
+        return nodes, depth + width
+    anchor = avoiding_branch(paths, depth)[-1] if depth else ROOT
+    return tuple(anchor + (i,) for i in range(count)), depth + 1
 
 
 def extend_within_ball(
@@ -83,8 +77,7 @@ def extend_within_ball(
             "JT_INF extension requires a root-free vector: a root chain into the "
             "fresh branch can push the square sum past one"
         )
-    anchor, level = _anchor_and_level(space, x.support, n)
-    nodes = _descendants_at(space, anchor, level, n)
+    nodes, _ = _fan(space, x.support, n)
     y = x + SparseVector(tuple((t, Fraction(s, n)) for t, s in zip(nodes, signs)))
     if not norm(y, space, config).le(Fraction(1)):
         raise CertificationError("extension left the unit ball; construction invalid")
@@ -167,9 +160,7 @@ def sd2p_witnesses(
     all_paths = [node for x_i in interior for node in x_i.support]
     for g, _ in slices:
         all_paths.extend(n for n in g.nodes())
-    total = 2 * m * len(slices)
-    anchor, level = _anchor_and_level(space, all_paths, total)
-    fan = _descendants_at(space, anchor, level, total)
+    fan, level = _fan(space, all_paths, 2 * m * len(slices))
 
     y_vecs: list[SparseVector] = []
     z_vecs: list[SparseVector] = []

@@ -6,6 +6,10 @@ reports go to stdout as JSON (or flat TSV with --format tsv).  Output is
 byte-identical for identical (input, config, seed); anything run-dependent
 (timings) goes to stderr.  Exit codes: 0 success, 1 failed verification,
 2 parse/validation errors (with a JSON error object on stdout).
+
+`main` builds the run config once (`_config_from_args`: defaults, then the
+--config file, then the flags) and hands it to the subcommand with its
+arguments.  The --scenario choices are `slices.SCENARIOS`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .dualnorm import dual_norm
 from .errors import JamesTreeError, SchemaError, wire_text
 from .norms import literal_norm_sq_jt, norm
-from .slices import SliceSpec, slice_diameter, slice_members
+from .slices import SCENARIOS, SliceSpec, slice_diameter, slice_members
 from .spaces import SpaceKind
 from .surds import float_or_none
 from .verify import SUITES, run_suite
@@ -44,7 +48,7 @@ def _config_from_args(args) -> RunConfig:
     """DEFAULT_CONFIG with the config-file fields, then the flags, applied in
     one step, so every out-of-range value is reported as a schema error."""
     fields = {}
-    if getattr(args, "config", None):
+    if args.config:
         doc = _load_json(args.config)
         if not isinstance(doc, dict):
             raise SchemaError("config file must hold a JSON object")
@@ -58,13 +62,13 @@ def _config_from_args(args) -> RunConfig:
                 fields[key] = schemas.parse_fraction(doc[key], key)
         if "output_format" in doc:
             fields["output_format"] = doc["output_format"]
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         fields["seed"] = args.seed
-    if getattr(args, "parallel", None) is not None:
+    if args.parallel is not None:
         fields["workers"] = args.parallel
-    if getattr(args, "tol", None) is not None:
+    if getattr(args, "tol", None) is not None:  # dual-norm is the one subcommand with --tol
         fields["tol"] = schemas.parse_fraction(args.tol, "tol")
-    if getattr(args, "format", None) is not None:
+    if args.format is not None:
         fields["output_format"] = args.format
     try:
         return DEFAULT_CONFIG.with_(**fields)
@@ -102,8 +106,7 @@ def _load_input(parse, path: str, space_name: str | None):
     return obj, space
 
 
-def _cmd_norm(args) -> int:
-    config = _config_from_args(args)
+def _cmd_norm(args, config: RunConfig) -> int:
     vec, space = _load_input(schemas.vector_from_json, args.vector, args.space)
     if args.segments == "literal":
         if space.kind is not SpaceKind.JT_INF:
@@ -126,31 +129,29 @@ def _cmd_norm(args) -> int:
     return 0
 
 
-def _cmd_dual_norm(args) -> int:
-    config = _config_from_args(args)
+def _cmd_dual_norm(args, config: RunConfig) -> int:
     g, space = _load_input(schemas.functional_from_json, args.functional, args.space)
     cert = dual_norm(g, space, level_cap=args.level_cap, config=config)
     _emit(schemas.dual_cert_to_json(cert), config)
     return 0
 
 
-def _parse_alpha(raw: str) -> Fraction:
-    value = schemas.parse_fraction(raw, "alpha")
+def _positive(raw: str, what: str) -> Fraction:
+    value = schemas.parse_fraction(raw, what)
     if value <= 0:
-        raise SchemaError("alpha must be positive")
+        raise SchemaError(f"{what} must be positive")
     return value
 
 
-def _slice_spec(args, config: RunConfig) -> SliceSpec:
+def _slice_spec(args) -> SliceSpec:
     vec, space = _load_input(schemas.vector_from_json, args.vector, args.space)
     if args.level_cap is not None and args.level_cap < 0:
         raise SchemaError("level cap must be nonnegative")
-    return SliceSpec(vec, _parse_alpha(args.alpha), space, args.level_cap)
+    return SliceSpec(vec, _positive(args.alpha, "alpha"), space, args.level_cap)
 
 
-def _cmd_slice(args) -> int:
-    config = _config_from_args(args)
-    spec = _slice_spec(args, config)
+def _cmd_slice(args, config: RunConfig) -> int:
+    spec = _slice_spec(args)
     members = slice_members(spec, config)
     report = {
         "space": spec.space.kind.value,
@@ -162,17 +163,11 @@ def _cmd_slice(args) -> int:
     return 0
 
 
-def _cmd_diameter(args) -> int:
-    config = _config_from_args(args)
-    spec = _slice_spec(args, config)
-    params = {}
-    for name in ("epsilon", "delta"):
-        raw = getattr(args, name, None)
-        if raw is not None:
-            params[name] = schemas.parse_fraction(raw, name)
-    if args.scenario and args.scenario != "JHINF_53":
-        params.setdefault("alpha", spec.alpha)
-    report = slice_diameter(spec, scenario=args.scenario, scenario_params=params or None, config=config)
+def _cmd_diameter(args, config: RunConfig) -> int:
+    spec = _slice_spec(args)
+    epsilon = None if args.epsilon is None else schemas.parse_fraction(args.epsilon, "epsilon")
+    delta = None if args.delta is None else schemas.parse_fraction(args.delta, "delta")
+    report = slice_diameter(spec, args.scenario, epsilon, delta, config)
     _emit(schemas.diameter_report_to_json(report), config)
     return 0
 
@@ -191,8 +186,7 @@ def _objects(doc: dict, key: str) -> list[dict]:
     return items
 
 
-def _cmd_certify(args) -> int:
-    config = _config_from_args(args)
+def _cmd_certify(args, config: RunConfig) -> int:
     doc = _load_json(args.input)
     if not isinstance(doc, dict):
         raise SchemaError("certificate input must be a JSON object")
@@ -201,7 +195,7 @@ def _cmd_certify(args) -> int:
         slices = []
         for item in _objects(doc, "slices"):
             g, _ = schemas.functional_from_json(item.get("functional"), space)
-            slices.append((g, _parse_alpha(item.get("alpha"))))
+            slices.append((g, _positive(item.get("alpha"), "alpha")))
         weights = tuple(schemas.parse_fraction(w, "weight") for w in _array(doc, "weights"))
         cert = sd2p_witnesses(tuple(slices), weights, space, config)
         _emit(schemas.sd2p_cert_to_json(cert), config)
@@ -209,7 +203,7 @@ def _cmd_certify(args) -> int:
         slices = []
         for item in _objects(doc, "slices"):
             vec, _ = schemas.vector_from_json(item.get("vector"))
-            slices.append((vec, _parse_alpha(item.get("epsilon"))))
+            slices.append((vec, _positive(item.get("epsilon"), "epsilon")))
         weights = tuple(schemas.parse_fraction(w, "weight") for w in _array(doc, "weights"))
         cert = m_ccw_witness(tuple(slices), weights, config)
         _emit(schemas.ccw_cert_to_json(cert), config)
@@ -245,8 +239,7 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    config = _config_from_args(args)
+def _cmd_verify(args, config: RunConfig) -> int:
     results = run_suite(args.suite, config)
     for res in results:
         sys.stderr.write(f"[{res.seconds:7.2f}s] {res.ident} {res.name}\n")
@@ -326,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vector")
     p.add_argument("--alpha", required=True)
     p.add_argument("--space")
-    p.add_argument("--scenario", choices=("JT_SQRT2", "JHINF_53", "JH_ZERO"))
+    p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--epsilon")
     p.add_argument("--delta")
     p.add_argument("--level-cap", type=_int_arg, default=None)
@@ -355,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit:  # --help; usage errors raise SchemaError
             return 0
-        return args.func(args)
+        return args.func(args, _config_from_args(args))
     except SchemaError as exc:
         sys.stdout.write(json.dumps({"error": "schema", "message": str(exc)}) + "\n")
         return 2

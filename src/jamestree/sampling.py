@@ -36,7 +36,7 @@ def random_vector(
     entries: dict[Node, Fraction] = {}
     for _ in range(count):
         node = random_node(rng, space, max_level, branching)
-        if node == () and (space.kind is SpaceKind.M_HYP or not allow_root):
+        if node == () and not allow_root:  # random_node never draws the root of M_HYP
             continue
         entries[node] = nonzero_fraction(rng)
     return SparseVector(tuple(entries.items()))

@@ -30,6 +30,7 @@ from .surds import Surd, sqrt_bounds, sqrt_sum_sign
 from .trees import enumerate_admissible_families, segment_sum
 
 MAX_PAIRS = 20_000  # member pairs slice_diameter evaluates before it refuses
+SCENARIOS = ("JT_SQRT2", "JHINF_53", "JH_ZERO")  # the named bounds of scenario_upper_bound
 
 
 @dataclass(frozen=True)
@@ -196,17 +197,18 @@ def scenario_upper_bound(
 def slice_diameter(
     spec: SliceSpec,
     scenario: str | None = None,
-    scenario_params: dict | None = None,
+    epsilon: Fraction | None = None,
+    delta: Fraction | None = None,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> DiameterReport:
     """Diameter report over the sampled slice representatives.
 
     lower: best certified pair distance (dual_norm lower bounds are attained
     by explicit unit vectors, so this genuinely bounds the slice diameter
-    from below).  upper: scenario bound when given, else the dual triangle
-    bound 2 (members are certified inside the dual unit ball).  Raises
-    CertificationError when the certified lower exceeds the upper: the bound
-    does not hold for this slice.
+    from below).  upper: the scenario bound at the slice's own alpha when a
+    scenario is given, else the dual triangle bound 2 (members are certified
+    inside the dual unit ball).  Raises CertificationError when the certified
+    lower exceeds the upper: the bound does not hold for this slice.
     """
     members = slice_members(spec, config)
     lower = Fraction(0)
@@ -221,7 +223,7 @@ def slice_diameter(
                 lower = cert.lower
                 pair = (members[i], members[j])
     if scenario is not None:
-        upper = scenario_upper_bound(scenario, **(scenario_params or {}))
+        upper = scenario_upper_bound(scenario, spec.alpha, delta, epsilon)
         provenance = "scenario_bound"
     else:
         upper = Fraction(2) if members else Fraction(0)

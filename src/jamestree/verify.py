@@ -143,16 +143,12 @@ def check_singleton_slice(config: RunConfig = DEFAULT_CONFIG) -> CheckResult:
                 continue
             if val > bound:
                 problems.append(f"eps={eps}: family {family} exceeds max(1-eps,4eps)")
-        members = slice_members(SliceSpec(x, alpha, JH), config)
+        spec = SliceSpec(x, alpha, JH)
+        members = slice_members(spec, config)
         if len(members) != 1 or members[0].terms != ((Fraction(1), optimal),):
             problems.append(f"eps={eps}: slice is not the expected singleton ({len(members)} members)")
             continue
-        report = slice_diameter(
-            SliceSpec(x, alpha, JH),
-            scenario="JH_ZERO",
-            scenario_params={"epsilon": eps, "alpha": alpha},
-            config=config,
-        )
+        report = slice_diameter(spec, "JH_ZERO", epsilon=eps, config=config)
         if report.lower != 0 or report.upper != 0:
             problems.append(f"eps={eps}: diameter not exactly 0")
     detail = "singleton slice and diameter 0 for eps in {1/8, 1/5}"

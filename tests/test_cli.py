@@ -301,6 +301,21 @@ def test_certify_sd2p_and_ccw(tmp_path, capsys):
     assert doc["distance"] == "2" and len(doc["pair"]) == 2
 
 
+def test_certify_ccw_names_epsilon_in_its_errors(tmp_path, capsys):
+    for raw, message in (("-1/2", "epsilon must be positive"), ("x", 'bad rational "x" for epsilon')):
+        ccw = write(
+            tmp_path,
+            "ccw.json",
+            {
+                "slices": [{"vector": {"entries": [{"node": [1], "value": "1"}]}, "epsilon": raw}],
+                "weights": ["1"],
+            },
+        )
+        code, out = run_cli(capsys, "certify", "ccw", ccw)
+        assert code == 2
+        assert json.loads(out) == {"error": "schema", "message": message}
+
+
 def test_byte_identical_output(tmp_path, capsys):
     path = write(tmp_path, "x.json", SEVEN_NODE_UNIT)
     _, first = run_cli(capsys, "norm", path)
@@ -317,6 +332,9 @@ def test_tsv_format(tmp_path, capsys):
     code, out = run_cli(capsys, "norm", zero, "--space", "JH", "--format", "tsv")
     assert code == 0
     assert "witness\t[]" in out.splitlines()
+    code, out = run_cli(capsys, "verify", "--suite", "duals", "--format", "tsv")
+    assert code == 0
+    assert "passed\ttrue" in out.splitlines()
 
 
 def test_verify_duals_suite(capsys):
@@ -368,6 +386,10 @@ def test_config_file_overrides(tmp_path, capsys):
     fine = write(tmp_path, "fine.json", {"grid_resolution": "1/2"})
     code, out = run_cli(capsys, "slice", jt, "--alpha", "1/10", "--config", fine)
     assert code == 0
+    tsv = write(tmp_path, "tsv.json", {"output_format": "tsv"})
+    code, out = run_cli(capsys, "norm", path, "--config", tsv)
+    assert code == 0
+    assert out.splitlines()[0] == 'value\t"1"'
 
 
 def test_candidate_cap_from_config_exits_2(tmp_path, capsys):

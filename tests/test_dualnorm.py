@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jamestree.dualnorm import dual_norm
+from jamestree.dualnorm import _molecule_cut_weights, dual_norm
 from jamestree.errors import CertificationError, PreconditionError
 from jamestree.functionals import (
     MOLECULE,
@@ -20,7 +20,7 @@ from jamestree.norms import norm
 from jamestree.reference import dense_dual_norm_l1, grid_scan_dual_norm_jt
 from jamestree.sampling import random_signed_family, random_vector
 from jamestree.schemas import dual_cert_to_json
-from jamestree.spaces import ALL_SPACES, JH, JH_INF, JT_INF, M_HYP
+from jamestree.spaces import ALL_SPACES, JH, JH_INF, JT_INF, M_HYP, SparseVector
 from jamestree.trees import Closure, Segment, is_admissible
 from test_lp import _time_limit
 
@@ -148,6 +148,19 @@ def test_cuts_are_norming_functionals_in_every_space():
             assert evaluate(cut, cert.witness_vector) <= 1
         cut_count += len(cert.cuts)
     assert cut_count > len(cases)
+
+
+def test_molecule_cut_weights_exact_fallback():
+    # the tiny sum rounds to 0 at every float scale, so the rounded weights
+    # reach exactly 1 and never cut: the exact rescaling is what remains
+    tiny = Fraction(1, 10**20)
+    sums = [Fraction(1), tiny]
+    res = norm(SparseVector((((0,), Fraction(1)), ((1,), tiny))), JT_INF)
+    assert res.value_sq == 1 + tiny * tiny
+    weights = _molecule_cut_weights(sums, res)
+    assert weights == [s * res.inverse_below(10**12) for s in sums]
+    assert sum(w * w for w in weights) <= 1
+    assert sum(w * s for w, s in zip(weights, sums)) > 1
 
 
 def test_level_cap_precondition():

@@ -12,7 +12,7 @@ from jamestree.functionals import (
     segment_functional,
     validate_functional,
 )
-from jamestree.spaces import JH_INF, JT_INF, SparseVector, unit_vector
+from jamestree.spaces import JH_INF, JT_INF, M_HYP, SparseVector, unit_vector
 from jamestree.trees import Segment
 
 
@@ -52,11 +52,15 @@ def test_validate_molecule_mass():
 
 
 def test_validate_signed_family_alignment():
+    # disjoint segments with one top level and two bottom levels: the L1
+    # spaces need one common (p, q), JT_INF only disjointness
     crooked = DualFunctional(
         ((Fraction(1), Segment((1,), (1,))), (Fraction(-1), Segment((2,), (2, 0)))), SIGNED_FAMILY
     )
-    with pytest.raises(InvalidFunctionalError):
-        validate_functional(crooked, JH_INF)
+    for space in (JH_INF, M_HYP):
+        with pytest.raises(InvalidFunctionalError):
+            validate_functional(crooked, space)
+    validate_functional(crooked, JT_INF)
     with pytest.raises(InvalidFunctionalError):
         validate_functional(
             DualFunctional(((Fraction(1, 2), Segment((1,), (1,))),), SIGNED_FAMILY), JH_INF

@@ -10,6 +10,7 @@ from jamestree.functionals import MOLECULE, DualFunctional, evaluate, validate_f
 from jamestree.norms import norm
 from jamestree.sampling import random_vector
 from jamestree.slices import (
+    SCENARIOS,
     SliceSpec,
     scenario_upper_bound,
     slice_diameter,
@@ -137,6 +138,9 @@ def test_scenario_upper_bound_values():
     bound = scenario_upper_bound("JT_SQRT2", alpha=Fraction(1, 100), delta=Fraction(1, 25))
     assert bound == Surd(Fraction(1, 100), Fraction(1), Fraction(2), Fraction(1, 25))
     assert scenario_upper_bound("JH_ZERO", epsilon=Fraction(1, 5), alpha=Fraction(1, 20)) == 0
+    # the CLI's --scenario choices: one parameter set meets every constraint
+    for scenario in SCENARIOS:
+        scenario_upper_bound(scenario, Fraction(1, 100), Fraction(1, 25), Fraction(1, 5))
 
 
 def test_criterion_3_pair_lies_under_the_sqrt2_bound():
@@ -168,7 +172,7 @@ def test_diameter_report_shapes():
     report = slice_diameter(
         SliceSpec(singleton_slice_vector(eps), alpha, JH),
         scenario="JH_ZERO",
-        scenario_params={"epsilon": eps, "alpha": alpha},
+        epsilon=eps,
     )
     assert report.lower == 0 and report.upper == 0
     assert report.upper_provenance == "scenario_bound"
