@@ -392,6 +392,22 @@ def test_config_file_overrides(tmp_path, capsys):
     assert out.splitlines()[0] == 'value\t"1"'
 
 
+def test_config_values_out_of_range_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "x.json", SEVEN_NODE_UNIT)
+    for doc, message in [
+        ({"iteration_cap": 0}, "iteration_cap must be positive"),
+        ({"family_cap": 0}, "caps must be positive"),
+        ({"candidate_cap": -1}, "caps must be positive"),
+        ({"output_format": "xml"}, "output_format must be 'json' or 'tsv'"),
+        ([{"seed": 1}], "config file must hold a JSON object"),
+        ("tsv", "config file must hold a JSON object"),
+    ]:
+        code, out = run_cli(capsys, "norm", path, "--config", write(tmp_path, "cfg.json", doc))
+        assert code == 2, doc
+        error = json.loads(out)
+        assert error["error"] == "schema" and message in error["message"], (doc, error)
+
+
 def test_candidate_cap_from_config_exits_2(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -67,6 +67,19 @@ def test_validate_signed_family_alignment():
         )
 
 
+def test_overlapping_chains_are_neither_a_family_nor_a_molecule():
+    # f_[(0),(0,1)] and f_[(0,1),(0,1,0)] share the node (0, 1)
+    segments = (Segment((0,), (0, 1)), Segment((0, 1), (0, 1, 0)))
+    family = DualFunctional(tuple((Fraction(1), s) for s in segments), SIGNED_FAMILY)
+    with pytest.raises(InvalidFunctionalError, match="admissible family"):
+        validate_functional(family, JT_INF)  # JT_INF asks for disjointness alone
+    molecule = DualFunctional(tuple((Fraction(1, 2), s) for s in segments), MOLECULE)
+    with pytest.raises(InvalidFunctionalError, match="pairwise disjoint"):
+        validate_functional(molecule, JT_INF)
+    apart = DualFunctional(((Fraction(1, 2), segments[0]), (Fraction(1, 2), Segment((1,), (1, 0)))), MOLECULE)
+    validate_functional(apart, JT_INF)
+
+
 def test_coefficient_map_collapses_overlaps():
     g = segment_functional((), (1,)) - segment_functional((1,), (1,))
     assert g.coefficient_map() == {(): Fraction(1)}

@@ -73,6 +73,13 @@ def test_functional_round_trip():
     assert schemas.functional_to_json(g) == doc
 
 
+def test_functional_document_must_be_an_object():
+    doc = {"class": "signed_family", "terms": [{"coeff": "-1", "top": [1], "bottom": [1, 0]}]}
+    for not_an_object in ([doc], "f", None):
+        with pytest.raises(SchemaError, match="must be an object"):
+            schemas.functional_from_json(not_an_object)
+
+
 def test_norm_result_json_shape():
     res = norm(SparseVector((((), Fraction(1)),)), JH)
     doc = schemas.norm_result_to_json(res)

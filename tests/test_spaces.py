@@ -13,6 +13,13 @@ def test_zero_entries_dropped_and_sorted():
     assert x.value_at((1,)) == 0
 
 
+def test_entries_are_exact_rationals():
+    x = SparseVector((((0,), 3),))
+    assert x.entries == (((0,), Fraction(3)),) and type(x.value_at((0,))) is Fraction
+    with pytest.raises(InvalidVectorError, match="exact rationals, got float"):
+        SparseVector((((0,), 0.5),))
+
+
 def test_duplicate_nodes_rejected():
     with pytest.raises(InvalidVectorError):
         SparseVector((((0,), Fraction(1)), ((0,), Fraction(2))))

@@ -263,6 +263,29 @@ def test_segments_disjoint_matches_node_sets():
         assert segments_disjoint(s1, s2) == expected
 
 
+def test_chains_sharing_a_node_are_no_family():
+    shared = [Segment((0,), (0, 1)), Segment((0, 1), (0, 1, 0))]
+    assert not family_disjoint(shared)
+    assert not is_admissible(shared, JT_INF)  # JT_INF asks for disjointness alone
+    assert family_disjoint([]) and family_disjoint(shared[:1])
+
+
+def test_family_disjoint_matches_node_sets():
+    rng = random.Random(19)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        family = []
+        for _ in range(rng.randint(0, 4)):
+            bottom = tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 3)))
+            family.append(Segment(bottom[: rng.randint(0, len(bottom))], bottom))
+        expected = all(
+            not set(s1.nodes()) & set(s2.nodes()) for s1, s2 in combinations(family, 2)
+        )
+        assert family_disjoint(family) == expected, family
+        seen[expected] += 1
+    assert min(seen.values()) > 50
+
+
 def _closure_by_definition(support):
     """The closure views from the set of all prefixes, sorted."""
     support = frozenset(tuple(n) for n in support)
