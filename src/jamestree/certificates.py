@@ -19,6 +19,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .dualnorm import dual_norm
 from .errors import (
     CertificationError,
+    EnumerationCapError,
     PreconditionError,
     SpaceMismatchError,
 )
@@ -139,6 +140,7 @@ def sd2p_witnesses(
             raise PreconditionError(f"the slice is empty: dual norm {cert.upper} <= 1 - alpha")
 
     interior: list[SparseVector] = []
+    etas: list[Fraction] = []
     for (g, alpha), cert in zip(slices, certs):
         w = cert.witness_vector
         w_norm = norm(w, space, config).value
@@ -149,13 +151,15 @@ def sd2p_witnesses(
         if not evaluate(g, x_i) > 1 - alpha:
             raise CertificationError("interior point misses the slice")
         interior.append(x_i)
+        etas.append(eta)
 
-    norms = [norm(x_i, space, config).value for x_i in interior]
-    worst = max(norms)
-    if worst >= 1:
-        raise CertificationError("interior points must have norm < 1")
-    # smallest m with every ||x_i|| <= 1 - 1/m
-    m = max(2, ceil(1 / (1 - worst)))
+    # the norm is homogeneous, so ||x_i|| = eta_i < 1 (alpha > 0): m is the
+    # smallest with every ||x_i|| <= 1 - 1/m
+    m = max(2, ceil(1 / (1 - max(etas))))
+    if 2 * m * len(slices) > config.candidate_cap:
+        raise EnumerationCapError(
+            f"sd2p fan of {2 * m * len(slices)} fresh nodes exceeded cap {config.candidate_cap}"
+        )
 
     all_paths = [node for x_i in interior for node in x_i.support]
     for g, _ in slices:
@@ -185,9 +189,8 @@ def sd2p_witnesses(
     separating = DualFunctional(tuple(separating_terms), SIGNED_FAMILY)
     validate_functional(separating, space)  # fresh same-level singletons: admissible
 
-    combo = SparseVector(())
-    for w, y, z in zip(weights, y_vecs, z_vecs):
-        combo = combo + (y - z).scale(w)
+    weighted = [(w, y) for w, y in zip(weights, y_vecs)] + [(-w, z) for w, z in zip(weights, z_vecs)]
+    combo = SparseVector.from_pairs((n, c * val) for c, vec in weighted for n, val in vec.entries)
     distance = evaluate(separating, combo)
     if distance != 2:
         raise CertificationError(f"separating functional gives {distance}, expected 2")
@@ -386,10 +389,8 @@ def octahedrality_deficit(
     best_parts: tuple | None = None
     argmin = mesh[0]
     for lam, coeffs in mesh:
-        y = SparseVector(())
-        for c, vec in zip(coeffs, basis):
-            if c != 0:
-                y = y + vec.scale(c)
+        terms = [(c, vec) for c, vec in zip(coeffs, basis) if c != 0]
+        y = SparseVector.from_pairs((n, c * val) for c, vec in terms for n, val in vec.entries)
         v = candidate.scale(lam) + y
         den_sq = norm(y, space, config).squared
         if lam == 0 and den_sq == 0:

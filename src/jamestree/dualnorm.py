@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -46,7 +47,7 @@ from .functionals import (
 )
 from .lp import LPState, simplex_max
 from .norms import NormResult, norm
-from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
+from .spaces import Node, SparseVector, SpaceSpec
 from .trees import Closure, segment_sum
 
 
@@ -69,21 +70,8 @@ class DualNormCertificate:
 
 def _variables(g: DualFunctional, space: SpaceSpec, cap: int) -> tuple[Node, ...]:
     if space.dyadic:
-        out: list[Node] = []
-
-        def walk(node: Node) -> None:
-            out.append(node)
-            if len(node) < cap:
-                walk(node + (0,))
-                walk(node + (1,))
-
-        walk(ROOT)
-        return tuple(sorted(out))
-    closure = Closure(g.nodes())
-    nodes = [n for n in closure.sorted_nodes if len(n) <= cap]
-    if space.kind is SpaceKind.M_HYP:
-        nodes = [n for n in nodes if n != ROOT]
-    return tuple(nodes)
+        return tuple(sorted(node for k in range(cap + 1) for node in product((0, 1), repeat=k)))
+    return tuple(n for n in Closure(g.nodes()).sorted_nodes if space.min_top_level <= len(n) <= cap)
 
 
 # Molecule cut weights are rounded from floats to at most 12 digits (see

@@ -56,7 +56,7 @@ class DualFunctional:
         out: dict[Node, Fraction] = {}
         for coeff, seg in self.terms:
             for node in seg.nodes():
-                out[node] = out.get(node, Fraction(0)) + coeff
+                out[node] = out[node] + coeff if node in out else coeff
         return {n: c for n, c in out.items() if c != 0}
 
     def __sub__(self, other: "DualFunctional") -> "DualFunctional":
@@ -75,10 +75,9 @@ def segment_functional(top: Node, bottom: Node, coeff: Fraction = Fraction(1)) -
 
 
 def evaluate(g: DualFunctional, x: SparseVector) -> Fraction:
-    total = Fraction(0)
-    for coeff, seg in g.terms:
-        total += coeff * segment_sum(x, seg)
-    return total
+    """g(x): the sum over nodes n of g's coefficient at n times x(n)."""
+    coeffs = g.coefficient_map()
+    return sum((coeffs[n] * v for n, v in x.entries if n in coeffs), Fraction(0))
 
 
 def validate_functional(g: DualFunctional, space: SpaceSpec) -> None:

@@ -41,19 +41,14 @@ the positive denominators cancel.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import JamesTreeError
+from .surds import over_lcm
 
 
 class LPError(JamesTreeError):
     pass
-
-
-def _integer_row(coeffs: list[Fraction]) -> tuple[list[int], int]:
-    """coeffs as integers over their least common denominator."""
-    den = lcm(*(q.denominator for q in coeffs))
-    return [q.numerator * (den // q.denominator) for q in coeffs], den
 
 
 def _eliminate(row: list[int], den: int, f: int, pivot_row: list[int], p: int) -> tuple[list[int], int]:
@@ -105,14 +100,14 @@ class LPState:
         if self.objective is None:
             self.objective = list(c)
             self.cols, self.pos, self.at = list(range(n)), list(range(n)), [0] * n
-            self.z, self.z_den = _integer_row([*c, 0])  # value cell: -c.x at x = 0
+            self.z, self.z_den = over_lcm([*c, 0])  # value cell: -c.x at x = 0
         elif list(c) != self.objective:
             raise LPError("LPState was built for another objective")
         seen = len(self.rows)
         if len(rows) < seen or [(tuple(a), rhs) for a, rhs in rows[:seen]] != self.rows:
             raise LPError("rows do not extend the rows this LPState has absorbed")
         new = rows[seen:]
-        integer_rows = [_integer_row([*a, rhs]) for a, rhs in new]
+        integer_rows = [over_lcm([*a, rhs]) for a, rhs in new]
         if any(full[-1] < 0 for full, _ in integer_rows):
             raise LPError("simplex_max requires nonnegative right-hand sides")
         if any(len(a) != n for a, _ in new):

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import EnumerationCapError, JamesTreeError
 from .spaces import Node, ROOT, SparseVector, SpaceKind, SpaceSpec
-from .surds import float_or_none, sqrt_bounds, sqrt_sum_sign
+from .surds import float_or_none, over_lcm, sqrt_bounds, sqrt_sum_sign
 from .trees import (
     AdmissibleFamily,
     Closure,
@@ -230,7 +229,7 @@ def _aligned_norm(x: SparseVector, space: SpaceSpec, config: RunConfig) -> NormR
     return NormResult(space, Fraction(best_total, scale), None, witness)
 
 
-def _jt_candidates(x: SparseVector, closure: Closure, sums: list[int], config: RunConfig):
+def _jt_candidates(closure: Closure, sums: list[int], config: RunConfig):
     """Support-meeting closure chains with nonzero sum, in canonical order,
     as integer triples `(top, bottom, scaled sum)`.
 
@@ -368,7 +367,7 @@ def norm(x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) 
     node_sums = dict(zip(closure.sorted_nodes, sums))  # the DP tables are keyed by node
     tables = _jt_value_sq(closure, node_sums)
     goal = tables[0].get(ROOT, 0)  # the zero vector has an empty closure
-    cands = _jt_candidates(x, closure, sums, config)
+    cands = _jt_candidates(closure, sums, config)
     witness = _jt_witness(goal, closure, node_sums, cands, tables)
     unit = _jt_radix(closure) ** 2
     # the count part of the key lies in [0, unit/4), so rounding recovers `a`
@@ -377,10 +376,8 @@ def norm(x: SparseVector, space: SpaceSpec, config: RunConfig = DEFAULT_CONFIG) 
 
 def evaluate_family(family: AdmissibleFamily, x: SparseVector) -> Fraction:
     """Norm expression of one family: sum of |segment sums| (L1) or of squares."""
-    sums = [segment_sum(x, seg) for seg in family.segments]
     # one normalization on a common denominator instead of a Fraction per term
-    den = lcm(*(s.denominator for s in sums))
-    nums = [s.numerator * (den // s.denominator) for s in sums]
+    nums, den = over_lcm([segment_sum(x, seg) for seg in family.segments])
     if family.space.aggregates_l1:
         return Fraction(sum(abs(n) for n in nums), den)
     return Fraction(sum(n * n for n in nums), den * den)

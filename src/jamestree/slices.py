@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .dualnorm import dual_norm
@@ -26,7 +25,7 @@ from .errors import CertificationError, EnumerationCapError, PreconditionError, 
 from .functionals import MOLECULE, SIGNED_FAMILY, DualFunctional, best_molecule
 from .norms import NormResult, norm
 from .spaces import SparseVector, SpaceKind, SpaceSpec
-from .surds import Surd, sqrt_bounds, sqrt_sum_sign
+from .surds import Surd, over_lcm, sqrt_bounds, sqrt_sum_sign
 from .trees import enumerate_admissible_families, segment_sum
 
 MAX_PAIRS = 20_000  # member pairs slice_diameter evaluates before it refuses
@@ -108,9 +107,7 @@ def _molecule_members(
         if (2 * grid_den + 1) ** k > config.family_cap:
             raise EnumerationCapError("molecule grid too large for the configured cap")
         # in integers: coefficient c / grid_den, proportion a / scale
-        ratios = [s.as_integer_ratio() for s in fit.proportions]
-        scale = lcm(*(den for _, den in ratios))
-        scaled = [num * (scale // den) for num, den in ratios]
+        scaled, scale = over_lcm(fit.proportions)
         unit = grid_den * grid_den
         for combo in product(range(-grid_den, grid_den + 1), repeat=k):
             if sum(c * c for c in combo) > unit:
@@ -207,27 +204,29 @@ def slice_diameter(
     by explicit unit vectors, so this genuinely bounds the slice diameter
     from below).  upper: the scenario bound at the slice's own alpha when a
     scenario is given, else the dual triangle bound 2 (members are certified
-    inside the dual unit ball).  Raises CertificationError when the certified
+    inside the dual unit ball).  Raises EnumerationCapError past MAX_PAIRS
+    pairs, then ScenarioConstraintError for bad scenario parameters, both
+    before any pair is evaluated; and CertificationError when the certified
     lower exceeds the upper: the bound does not hold for this slice.
     """
     members = slice_members(spec, config)
-    lower = Fraction(0)
-    pair = None
     n = len(members)
     if n * (n - 1) // 2 > MAX_PAIRS:
         raise EnumerationCapError(f"too many member pairs ({n} members)")
+    if scenario is not None:  # checked before the sweep, so a bad parameter fails fast
+        upper = scenario_upper_bound(scenario, spec.alpha, delta, epsilon)
+        provenance = "scenario_bound"
+    else:
+        upper = Fraction(2) if members else Fraction(0)
+        provenance = "dual_triangle"
+    lower = Fraction(0)
+    pair = None
     for i in range(n):
         for j in range(i + 1, n):
             cert = dual_norm(members[i] - members[j], spec.space, config=config)
             if cert.lower > lower:
                 lower = cert.lower
                 pair = (members[i], members[j])
-    if scenario is not None:
-        upper = scenario_upper_bound(scenario, spec.alpha, delta, epsilon)
-        provenance = "scenario_bound"
-    else:
-        upper = Fraction(2) if members else Fraction(0)
-        provenance = "dual_triangle"
     if upper.compare(lower) < 0 if isinstance(upper, Surd) else upper < lower:
         raise CertificationError(f"certified lower bound {lower} exceeds the {scenario or provenance} bound")
     return DiameterReport(

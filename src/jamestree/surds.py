@@ -1,4 +1,4 @@
-"""Exact square-root arithmetic.
+"""Exact square-root arithmetic, and the one rational-to-integer conversion.
 
 `sqrt_sum_sign` decides the sign of a + b*sqrt(B) + c*sqrt(C) exactly, by
 comparing signs first and squaring only where they differ.  Every square-root
@@ -6,13 +6,26 @@ decision in the package goes through it: norm bounds, slice thresholds,
 octahedrality ratios, and the comparison of a `Surd` value
 a + b*sqrt(2) + c*sqrt(delta) with a rational (`Surd.compare`).  No decision
 rests on an enclosure width or a tolerance.
+
+`over_lcm` is the one conversion of a rational list to integers over one
+denominator; the engines' integer arithmetic (chain sums, family scores, the
+molecule grid, simplex rows) starts from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, isqrt, ldexp
+from math import isfinite, isqrt, lcm, ldexp
+from typing import Sequence
+
+
+def over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """values as integer numerators over their least common denominator
+    (1 for no values)."""
+    ratios = [q.as_integer_ratio() for q in values]  # one read per value
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def sqrt_bounds(value: Fraction, scale: int) -> tuple[Fraction, Fraction]:

@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import EnumerationCapError, InvalidSegmentError, wire_text
 from .spaces import Node, SparseVector, SpaceSpec
+from .surds import over_lcm
 
 
 def is_prefix(a: Node, b: Node) -> bool:
@@ -70,7 +70,8 @@ class Segment:
 
     def nodes(self) -> tuple[Node, ...]:
         """The unique chain top..bottom, ordered by level."""
-        return tuple(self.bottom[:k] for k in range(self.p, self.q + 1))
+        bottom = self.bottom
+        return tuple([bottom[:k] for k in range(len(self.top), len(bottom) + 1)])
 
     def contains(self, node: Node) -> bool:
         return len(self.top) <= len(node) <= len(self.bottom) and self.bottom[: len(node)] == node
@@ -95,11 +96,9 @@ def segments_disjoint(s1: Segment, s2: Segment) -> bool:
 
 
 def family_disjoint(segments: Sequence[Segment]) -> bool:
-    for i in range(len(segments)):
-        for j in range(i + 1, len(segments)):
-            if not segments_disjoint(segments[i], segments[j]):
-                return False
-    return True
+    """True iff no node lies on two of the chains."""
+    nodes = [node for seg in segments for node in seg.nodes()]
+    return len(nodes) == len(set(nodes))
 
 
 def is_admissible(segments: Sequence[Segment], space: SpaceSpec) -> bool:
@@ -221,9 +220,8 @@ def scaled_prefix_sums(x: SparseVector, closure: Closure) -> tuple[list[int], in
     `closure.sorted_nodes`, and `sums[-1] == 0` the sum above the root.  The
     chain sum of top t down to b is `(sums[b] - sums[closure.parent[t]]) / scale`.
     """
-    ratios = [(n, v.as_integer_ratio()) for n, v in x.entries]
-    scale = lcm(*(den for _, (_, den) in ratios))
-    scaled = {n: num * (scale // den) for n, (num, den) in ratios}
+    nums, scale = over_lcm([v for _, v in x.entries])
+    scaled = dict(zip(x.support, nums))
     sums = [0] * (len(closure.sorted_nodes) + 1)
     for i, (node, up) in enumerate(zip(closure.sorted_nodes, closure.parent)):
         sums[i] = sums[up] + scaled.get(node, 0)  # lex order puts every parent first

@@ -15,7 +15,13 @@ from jamestree.certificates import (
     sd2p_witnesses,
 )
 from jamestree import certificates, dualnorm
-from jamestree.errors import CertificationError, JamesTreeError, PreconditionError, SpaceMismatchError
+from jamestree.errors import (
+    CertificationError,
+    EnumerationCapError,
+    JamesTreeError,
+    PreconditionError,
+    SpaceMismatchError,
+)
 from jamestree.dualnorm import dual_norm
 from jamestree.functionals import evaluate, segment_functional
 from jamestree.norms import norm
@@ -30,6 +36,7 @@ from jamestree.spaces import (
     SparseVector,
     unit_vector,
 )
+from test_lp import _time_limit
 
 
 def test_extend_example_half_root():
@@ -118,6 +125,18 @@ def test_sd2p_runs_one_dual_norm_per_slice_functional(monkeypatch):
     cert = sd2p_witnesses(slices, (Fraction(1, 3), Fraction(2, 3)), JH_INF)
     assert cert.distance == 2
     assert seen == [f, general]
+
+
+def test_sd2p_work_stays_linear_in_the_fan_and_is_capped():
+    # the fan has 2*m = 8/alpha nodes; checking the separating family and
+    # evaluating it once were quadratic in them
+    root = ((segment_functional((), ()), Fraction(1, 2000)),)
+    with _time_limit(10):
+        cert = sd2p_witnesses(root, (Fraction(1),), JH)
+    assert cert.m == 8000 and cert.distance == 2
+    assert len(cert.separating.terms) == 16000
+    with _time_limit(10), pytest.raises(EnumerationCapError, match="exceeded cap 200000"):
+        sd2p_witnesses(((segment_functional((), ()), Fraction(1, 40000)),), (Fraction(1),), JH)
 
 
 def test_sd2p_rejects_a_functional_outside_the_dual_ball():

@@ -2,7 +2,8 @@
 independent routes: their agreement is what the oracle tests prove, so
 neither may import the other, not even inside a function body.  The oracle
 also keeps its own scoring route: it may not use the engine's chain-sum
-primitive, `trees.scaled_prefix_sums`.  And the package is stdlib-only:
+primitive, `trees.scaled_prefix_sums`, nor its rational-to-integer
+conversion, `surds.over_lcm`.  And the package is stdlib-only:
 every module it imports is `jamestree` itself or part of the standard
 library."""
 
@@ -14,7 +15,7 @@ import jamestree
 
 ENGINE = {"norms", "dualnorm"}
 ORACLE = {"reference"}
-ENGINE_PRIMITIVES = {"scaled_prefix_sums"}
+ENGINE_PRIMITIVES = {"scaled_prefix_sums", "over_lcm"}
 SOURCES = Path(jamestree.__file__).parent
 
 

@@ -305,7 +305,7 @@ def _unfiltered_witness(x):
     radix = norms._jt_radix(closure)
     goal = norms._jt_value_sq(closure, sums)[0].get((), 0)
     kept, probes, blocked, acc = [], [], frozenset(), 0
-    for top, bottom, s in norms._jt_candidates(x, closure, lex_sums, RunConfig()):
+    for top, bottom, s in norms._jt_candidates(closure, lex_sums, RunConfig()):
         nodes = Segment(top, bottom).nodes()
         if acc == goal or blocked.intersection(nodes):
             continue

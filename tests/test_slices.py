@@ -5,7 +5,8 @@ import pytest
 
 from jamestree.config import DEFAULT_CONFIG
 from jamestree.dualnorm import dual_norm
-from jamestree.errors import ScenarioConstraintError
+from jamestree import slices
+from jamestree.errors import EnumerationCapError, ScenarioConstraintError
 from jamestree.functionals import MOLECULE, DualFunctional, evaluate, validate_functional
 from jamestree.norms import norm
 from jamestree.sampling import random_vector
@@ -182,6 +183,26 @@ def test_diameter_report_shapes():
     report = slice_diameter(SliceSpec(x, Fraction(1, 20), JH_INF), scenario="JHINF_53")
     assert report.upper == Fraction(5, 3)
     assert report.lower <= Fraction(5, 3)
+
+
+def test_diameter_checks_its_scenario_before_the_sweep(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dual_norm(*args, **kwargs)
+
+    monkeypatch.setattr(slices, "dual_norm", counting)
+    spec = SliceSpec(unit_vector((1,)) + unit_vector((2,)), Fraction(3, 2), JH_INF)
+    assert len(slice_members(spec)) > 1
+    with pytest.raises(ScenarioConstraintError, match="JT_SQRT2 requires alpha and delta"):
+        slice_diameter(spec, scenario="JT_SQRT2")
+    assert calls == []
+    # the pair cap is checked first and still wins
+    monkeypatch.setattr(slices, "MAX_PAIRS", 0)
+    with pytest.raises(EnumerationCapError):
+        slice_diameter(spec, scenario="JT_SQRT2")
+    assert calls == []
 
 
 def test_diameter_lower_monotone_in_alpha():
